@@ -47,7 +47,8 @@ constexpr const char* kUsage =
     "  --out-dir DIR   directory for the JSON files (default: cwd)\n"
     "  --filter STR    only run benchmarks whose name contains STR\n"
     "  --min-ms N      minimum measured time per benchmark (default 100)\n"
-    "  --threads N     pool size for the *_parallel benchmarks\n"
+    "  --threads N     pool size for the *_parallel benchmarks and the\n"
+    "                  verify and campaign runs\n"
     "                  (default 0 = hardware concurrency)\n"
     "  --trace F       record a Chrome trace-event span trace of the whole\n"
     "                  run to F (default genoc-bench.trace.json); load it\n"
@@ -162,8 +163,8 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
   {
     // The ROADMAP's scaling axis. depgraph_generic_8x8 above is the PR-1
     // baseline (~1.2 ms/op); these trace the per-destination fast builder
-    // sequentially and destination-sharded up to 64x64, plus the parallel
-    // SCC stage that keeps the cycle check linear at that scale.
+    // sequentially and destination-sharded up to 64x64, plus the linear
+    // DFS that decides (C-3) at that scale next to sequential Tarjan.
     auto pool = std::make_shared<BatchRunner>(threads);
     auto mesh16 = std::make_shared<Mesh2D>(16, 16);
     auto routing16 = std::make_shared<XYRouting>(*mesh16);
@@ -221,12 +222,11 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        const SccResult scc = tarjan_scc(dep64_graph());
                        keep(scc.components.size());
                      }});
-    suite.push_back({"scc_parallel_64x64",
-                     "parallel SCC (trim + FW-BW) on the 64x64 XY dep graph",
-                     [dep64_graph, pool] {
-                       const SccResult scc =
-                           parallel_scc(dep64_graph(), *pool);
-                       keep(scc.components.size());
+    suite.push_back({"find_cycle_64x64",
+                     "the (C-3) decider: linear DFS on the 64x64 XY dep graph",
+                     [dep64_graph] {
+                       const auto cycle = find_cycle(dep64_graph());
+                       keep(cycle.has_value() ? cycle->size() : 0);
                      }});
     suite.push_back({"registry_verify_all",
                      "genoc verify --all: every non-heavy registered instance",
@@ -254,12 +254,10 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        keep(verdicts.size());
                      }});
 
-    // This PR's perf pass: the escape-lane analysis — the 64x64-torus
-    // bottleneck — sequential vs destination-sharded, and the
-    // level-synchronous trim rounds on the torus dependency graph (wrap
-    // rings survive the trim, so this exercises every parallel_scc stage).
-    // CI guards the parallel/sequential escape ratio on multicore runners
-    // (tools/check_bench_guard.py --escape-speedup).
+    // The escape-lane analysis — the 64x64-torus bottleneck — sequential
+    // vs destination-sharded. CI guards the parallel/sequential escape
+    // ratio on multicore runners (tools/check_bench_guard.py
+    // --escape-speedup).
     auto torus64 = std::make_shared<Mesh2D>(64, 64, true, true);
     auto torus64_routing = std::make_shared<TorusXYRouting>(*torus64);
     auto torus64_escape = std::make_shared<XYRouting>(*torus64);
@@ -278,23 +276,6 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                            *torus64_routing, *torus64_escape, pool.get());
                        keep(analysis.deadlock_free ? 1 : 0);
                      }});
-    auto torus_dep = std::make_shared<std::optional<PortDepGraph>>();
-    auto torus_dep_graph =
-        [torus64, torus64_routing, torus_dep]() -> const Digraph& {
-      if (!torus_dep->has_value()) {
-        *torus_dep = build_dep_graph_fast(*torus64_routing);
-      }
-      return (*torus_dep)->graph;
-    };
-    suite.push_back({"trim_parallel_64x64",
-                     "parallel SCC (level-synchronous trim rounds) on the "
-                     "64x64 torus dep graph",
-                     [torus_dep_graph, pool] {
-                       const SccResult scc =
-                           parallel_scc(torus_dep_graph(), *pool);
-                       keep(scc.components.size());
-                     }});
-
     // This PR's perf pass: the tiered reachability closure and the
     // analytic dependency-graph builder. closure_prime_* constructs a
     // fresh Odd-Even routing each iteration (port-mode, so the closure

@@ -5,11 +5,10 @@
 ///        dependency graph. Then, it looks for cycles between these
 ///        components.").
 ///
-/// For deterministic routing, a non-trivial SCC is equivalent to a cycle,
-/// so this analyzer is an alternative (C-3) discharge strategy; for the
-/// adaptive extensions it additionally reports *where* the cyclic
-/// dependencies concentrate and samples concrete cycles from each
-/// component for the witness builder.
+/// A non-trivial SCC is equivalent to a cycle, so the verdict agrees with
+/// the (C-3) decider find_cycle(); this analyzer is not that decider. It
+/// reports *where* the cyclic dependencies concentrate and samples
+/// concrete cycles from each component for the witness builder.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +19,6 @@
 #include "graph/cycle.hpp"
 
 namespace genoc {
-
-class ThreadPool;
 
 /// Result of the SCC-based dependency analysis.
 struct SccAnalysis {
@@ -39,13 +36,10 @@ struct SccAnalysis {
   std::string summary() const;
 };
 
-/// Runs the analysis on a port dependency graph, sampling at most
-/// \p max_cycles concrete cycles across the non-trivial components. With a
-/// \p pool the SCC stage runs parallel_scc (same partition; canonical
-/// component order, so results are identical for every thread count);
-/// without one it runs sequential Tarjan as before.
+/// Runs the analysis on a port dependency graph with sequential Tarjan,
+/// sampling at most \p max_cycles concrete cycles across the non-trivial
+/// components.
 SccAnalysis analyze_dependencies(const PortDepGraph& dep,
-                                 std::size_t max_cycles,
-                                 ThreadPool* pool = nullptr);
+                                 std::size_t max_cycles);
 
 }  // namespace genoc

@@ -21,10 +21,12 @@
 /// dependency graph, prime the reachability closure and decide acyclicity
 /// exactly once between them.
 ///
-/// The pool mechanics live in util/ThreadPool (so graph-level algorithms
-/// like parallel_scc can run on the same pool without depending on this
+/// The pool mechanics live in util/ThreadPool (so the sharded graph build
+/// and escape analysis can run on the same pool without depending on this
 /// subsystem); parallel_for is work-sharing, hence nested calls (an
 /// instance task sharding its own graph build) cannot deadlock the pool.
+/// Acyclicity itself is one sequential linear DFS (graph/cycle.hpp) at every
+/// thread count.
 #pragma once
 
 #include <cstddef>

@@ -133,6 +133,7 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
   begin_topology(nodes, {"E", "W", "N", "S", "L"},
                  std::uint64_t{1} << static_cast<std::size_t>(PortName::kLocal));
   id_table_.assign(nodes * kPortSlotsPerNode, -1);
+  ports_.reserve(id_table_.size());
 
   // Failed links remove their four channel ports (both directed channels'
   // OUT + IN) before enumeration, so fault handling is literally the same
@@ -186,11 +187,25 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
       }
     }
   }
+  // Link each cardinal OUT port to its neighbour's opposite IN port. Every
+  // port here exists by construction; the invariant left to check is that
+  // its target survived (removal is closed under the link pairing).
   for (PortId pid = 0; pid < ports_.size(); ++pid) {
     const Port& p = ports_[pid];
-    if (p.dir == Direction::kOut && p.name != PortName::kLocal) {
-      set_link(pid, id(next_in(p)));
+    if (!has_next_in(p)) {
+      continue;
     }
+    Port q = genoc::next_in(p);
+    if (wrap_x_) {
+      q.x = (q.x + width_) % width_;
+    }
+    if (wrap_y_) {
+      q.y = (q.y + height_) % height_;
+    }
+    GENOC_ASSERT(contains_node(q.x, q.y), "link target outside the mesh");
+    const std::int32_t target = id_table_[slot(q)];
+    GENOC_ASSERT(target >= 0, "link target does not exist");
+    set_link(pid, static_cast<PortId>(target));
   }
   finish_topology();
 }

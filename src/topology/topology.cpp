@@ -48,6 +48,9 @@ void Topology::begin_topology(std::size_t nodes,
   port_info_.clear();
   slot_ids_.assign(node_count_ * slots_per_node(), kInvalidPort);
   link_to_.clear();
+  // Every port fills one slot, so the slot count bounds the port count.
+  port_info_.reserve(slot_ids_.size());
+  link_to_.reserve(slot_ids_.size());
 }
 
 PortId Topology::add_port(std::size_t node, std::size_t name, Direction dir) {

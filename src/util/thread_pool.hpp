@@ -1,6 +1,6 @@
 /// \file thread_pool.hpp
 /// \brief ThreadPool: the shared worker pool behind every parallel stage
-///        (dependency-graph sharding, instance sweeps, parallel SCC).
+///        (dependency-graph sharding, escape analysis, instance sweeps).
 ///
 /// Extracted from instance/BatchRunner so that lower layers (graph/) can
 /// accept a pool without depending on the instance subsystem. parallel_for
@@ -51,7 +51,7 @@ class ThreadPool {
   /// The grain every destination-sharded stage uses: ~\p chunks_per_thread
   /// chunks per thread (load balance against uneven per-item cost) but
   /// never below 1. Centralized so the dep-graph build, the escape sweep
-  /// and the trim rounds shard consistently.
+  /// and the campaign shards split work consistently.
   std::size_t recommended_grain(std::size_t count,
                                 std::size_t chunks_per_thread = 8) const {
     const std::size_t chunks = thread_count() * chunks_per_thread;

@@ -197,7 +197,7 @@ const AcyclicityArtifact& AnalysisArtifacts::acyclicity_locked(
   counters.misses.increment();
   obs::TraceSpan span("artifact:acyclicity");
   AcyclicityArtifact result;
-  result.cycle = find_cycle(dep.graph, pool);
+  result.cycle = find_cycle(dep.graph);
   result.acyclic = !result.cycle.has_value();
   acyclicity_ = std::move(result);
   return *acyclicity_;

@@ -144,7 +144,8 @@ class AnalysisArtifacts {
   /// build over destinations.
   const PortDepGraph& dep_graph(bool generic_builder, ThreadPool* pool);
 
-  /// The (C-3) verdict with cycle witness; computes dep_graph on demand.
+  /// The (C-3) verdict with cycle witness, decided by find_cycle();
+  /// computes dep_graph on demand. \p pool only shards that graph build.
   const AcyclicityArtifact& acyclicity(bool generic_builder, ThreadPool* pool);
 
   /// The Duato escape-lane analysis. Requires escape_routing() != nullptr.

@@ -96,13 +96,13 @@ class BuildDepGraphCheck final : public Check {
   }
 };
 
-/// Stage 2: Theorem 1 / (C-3) — acyclicity of the dependency graph, with a
-/// DFS cycle witness on failure (parallel SCC pre-decision on a pool).
+/// Stage 2: Theorem 1 / (C-3) — acyclicity of the dependency graph, decided
+/// by one linear DFS that also yields the cycle witness on failure.
 class SccAcyclicityCheck final : public Check {
  public:
   const char* name() const override { return "scc_acyclicity"; }
   const char* description() const override {
-    return "decide (C-3) acyclicity (Theorem 1) via DFS / parallel SCC, "
+    return "decide (C-3) acyclicity (Theorem 1) with one linear DFS, "
            "with a cycle witness on failure";
   }
 

@@ -9,6 +9,8 @@
 //     prefixes are cache hits, counted and asserted.
 //  3. The stage registry: names, unknown-stage rejection, subset pipelines
 //     (skip reasons, the "undecided" verdict) and typed Diagnostics.
+//  4. The pooled (C-3) path on 64x64 graphs (the ParallelScc cases):
+//     verdict and witness agree with sequential Tarjan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,9 @@
 #include "instance/batch_runner.hpp"
 #include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
+#include "routing/torus_xy.hpp"
+#include "routing/xy.hpp"
+#include "topology/mesh.hpp"
 #include "verify/artifacts.hpp"
 #include "verify/pipeline.hpp"
 
@@ -56,13 +61,13 @@ InstanceVerdict legacy_verify(const NetworkInstance& instance,
           instance.topology().destination_count() +
       verdict.edges;
 
+  // Decided by sequential Tarjan, which shares no code with the DFS decider
+  // under test; the DFS only supplies the witness the note cites.
   std::optional<CycleWitness> cycle;
-  if (options.runner != nullptr) {
-    if (has_nontrivial_scc(dep.graph, *options.runner)) {
-      cycle = find_cycle(dep.graph);
-    }
-  } else {
+  if (has_nontrivial_scc(dep.graph)) {
     cycle = find_cycle(dep.graph);
+    EXPECT_TRUE(cycle.has_value() && is_valid_cycle(dep.graph, *cycle))
+        << instance.name() << ": Tarjan finds a cycle the DFS misses";
   }
   verdict.dep_acyclic = !cycle.has_value();
   if (verdict.dep_acyclic) {
@@ -216,6 +221,76 @@ TEST(VerifyPipeline, Mesh128MatchesLegacyOnThePool) {
   const NetworkInstance instance(*spec);
   expect_verdicts_equal(instance.verify(options),
                         legacy_verify(instance, options), "mesh128-xy @4t");
+}
+
+TEST(VerifyPipeline, AcyclicityIsIdenticalAtEveryPoolSize) {
+  // The pool only shards the dependency-graph build; (C-3) is one DFS, so
+  // the verdict and the witness must not depend on the thread count.
+  BatchRunner one(1);
+  BatchRunner four(4);
+  BatchRunner eight(8);
+  for (const InstanceSpec& spec : InstanceRegistry::global().sweep_presets()) {
+    AnalysisArtifacts sequential(spec);
+    const AcyclicityArtifact& want = sequential.acyclicity(false, nullptr);
+    EXPECT_EQ(want.acyclic, !want.cycle.has_value()) << spec.name;
+    if (want.cycle.has_value()) {
+      EXPECT_TRUE(is_valid_cycle(sequential.dep_graph(false, nullptr).graph,
+                                 *want.cycle))
+          << spec.name;
+    }
+    for (BatchRunner* runner : {&one, &four, &eight}) {
+      AnalysisArtifacts pooled(spec);
+      const AcyclicityArtifact& got = pooled.acyclicity(false, runner);
+      EXPECT_EQ(got.acyclic, want.acyclic)
+          << spec.name << " @" << runner->thread_count() << "t";
+      EXPECT_EQ(got.cycle, want.cycle)
+          << spec.name << " @" << runner->thread_count() << "t";
+    }
+  }
+}
+
+/// The pooled (C-3) verdict on \p routing equals sequential Tarjan's, and
+/// the witness is a real cycle inside one non-trivial Tarjan component,
+/// identical to the sequential DFS's.
+void expect_pooled_acyclicity_matches_tarjan(const Topology& topology,
+                                             const RoutingFunction& routing,
+                                             BatchRunner& runner) {
+  AnalysisArtifacts artifacts(topology, routing, nullptr);
+  const AcyclicityArtifact& got = artifacts.acyclicity(false, &runner);
+  const Digraph& graph = artifacts.dep_graph(false, &runner).graph;
+  EXPECT_EQ(got.acyclic, !has_nontrivial_scc(graph));
+  EXPECT_EQ(got.acyclic, !got.cycle.has_value());
+  EXPECT_EQ(got.cycle, find_cycle(graph));
+  if (!got.cycle.has_value()) {
+    return;
+  }
+  ASSERT_FALSE(got.cycle->empty());
+  EXPECT_TRUE(is_valid_cycle(graph, *got.cycle));
+  const SccResult scc = tarjan_scc(graph);
+  const std::size_t comp = scc.component[got.cycle->front()];
+  for (const std::size_t v : *got.cycle) {
+    EXPECT_EQ(scc.component[v], comp);
+  }
+}
+
+TEST(ParallelScc, SixtyFourBySixtyFourMatchesTarjan) {
+  // Acyclic: every dependency is peeled, the pool only shards the build.
+  const Mesh2D mesh(64, 64);
+  const XYRouting xy(mesh);
+  BatchRunner runner(8);
+  expect_pooled_acyclicity_matches_tarjan(mesh, xy, runner);
+}
+
+TEST(ParallelScc, LevelSynchronousTrimOnCyclicTorus64) {
+  // The 64x64 torus graph keeps its wrap rings: the pooled path must find
+  // one of them, the same one at every thread count.
+  const Mesh2D torus(64, 64, true, true);
+  const TorusXYRouting routing(torus);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    BatchRunner runner(threads);
+    expect_pooled_acyclicity_matches_tarjan(torus, routing, runner);
+  }
 }
 
 TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
