@@ -1,12 +1,13 @@
 #include "deadlock/escape.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/sweep.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 
@@ -36,59 +37,78 @@ std::string EscapeAnalysis::summary() const {
 
 namespace {
 
+constexpr auto kOut = static_cast<std::size_t>(Direction::kOut);
+
 /// Scratch + partial results of one shard of the destination-sharded escape
 /// sweep. Every member is private to the shard's worker, so the sweep body
 /// runs lock-free; the deterministic merge happens after the fan-in.
 struct EscapeShard {
-  explicit EscapeShard(std::size_t port_count)
-      : stamp(port_count, 0), emitted(port_count) {}
+  EscapeShard(std::size_t port_count, std::size_t node_count)
+      : masks(node_count, 0),
+        node_stamp(node_count, 0),
+        in_used(port_count, 0),
+        link_used(port_count, 0) {}
 
-  // Flat per-destination scratch: epoch stamps instead of a rebuilt hash
-  // set, an index-walked frontier instead of std::queue, one reused hop
-  // vector instead of a fresh allocation per next_hops call. The closure
-  // scratch makes reachability row-granular AND shard-local: each shard
-  // materializes the rows of exactly the destinations it owns (lazy,
-  // locality-aware priming — no eager whole-closure build up front).
+  // The closure scratch makes reachability row-granular AND shard-local:
+  // each shard materializes the rows of exactly the destinations it owns
+  // (lazy, locality-aware priming — no eager whole-closure build up front).
   ClosureRowScratch reach;
-  std::vector<std::uint32_t> stamp;
+  // Per node: the existing escape out-names toward the current destination.
+  std::vector<std::uint64_t> masks;
+  // Per node: epoch in which its escape out-ports were seeded.
+  std::vector<std::uint32_t> node_stamp;
   std::uint32_t epoch = 0;
+  // The current destination's cardinal escape out-ports, index-walked.
   std::vector<PortId> frontier;
-  std::vector<Port> hops;      // grid Port-tuple scratch
-  std::vector<PortId> hop_ids;  // next_hop_ids_into sink
-  // Escape-graph edges repeat across destinations (the lane is the same
-  // deterministic function every time); the sweep engines' shared filter
-  // keeps each shard's edge buffer near the final edge count. Shards may
-  // re-emit edges another shard saw — Digraph::finalize (sort + dedup)
-  // erases both the duplicates and the merge order.
-  EdgeDedupCache emitted;
 
-  std::vector<std::pair<PortId, PortId>> edges;
+  // The lane's edges, accumulated over the shard's destinations: per
+  // in-port the out-names its escape hops take, per out-port whether its
+  // link edge is in the lane. Repeats across destinations are free ORs.
+  std::vector<std::uint64_t> in_used;
+  std::vector<std::uint8_t> link_used;
   std::uint64_t states_checked = 0;
   std::uint64_t missing_states = 0;
   // The shard's FIRST missing-escape state in (destination, in-port) sweep
-  // order; dests/ports are indices into the canonical enumeration, so the
-  // global minimum over shards is exactly the sequential witness.
+  // order; the global minimum over shards is exactly the sequential witness.
   std::size_t missing_dest = std::numeric_limits<std::size_t>::max();
-  std::size_t missing_port = std::numeric_limits<std::size_t>::max();
+  PortId missing_port = kInvalidPort;
   std::string missing_witness;
 };
 
 /// Explores every escape-lane state for destination \p dest_index:
 /// availability of the escape entries from the adaptive-reachable in-ports,
-/// then the lane's own closure and dependency edges. Identical to one
-/// iteration of the original sequential loop.
+/// then the lane's own closure and dependency edges. The escape function is
+/// node-uniform, so one mask per node decides the escape hops of every
+/// in-port of that node, and a node's out-ports join the lane at most once
+/// per destination.
 void sweep_escape_destination(const RoutingFunction& adaptive,
                               const RoutingFunction& escape,
                               const Topology& topo,
-                              const std::vector<PortId>& in_ports,
+                              const std::vector<std::uint64_t>& in_port_words,
                               std::size_t dest_index, EscapeShard& shard) {
   ++shard.epoch;
   shard.frontier.clear();
   const std::uint32_t epoch = shard.epoch;
-  auto seed = [&shard, epoch](PortId pid) {
-    if (shard.stamp[pid] != epoch) {
-      shard.stamp[pid] = epoch;
-      shard.frontier.push_back(pid);
+  const std::uint64_t terminal = topo.terminal_name_mask();
+  escape.fill_node_masks(dest_index, shard.masks.data());
+  for (std::size_t node = 0; node < shard.masks.size(); ++node) {
+    // A hop onto a non-existent out-port is no hop.
+    shard.masks[node] &= topo.out_exists_mask(node);
+  }
+  // A node joins the lane once per destination: its cardinal escape
+  // out-ports enter the frontier; terminal ones deliver (consumed, no
+  // edge).
+  auto enter = [&shard, &topo, terminal, epoch](std::size_t node) {
+    if (shard.node_stamp[node] == epoch) {
+      return;
+    }
+    shard.node_stamp[node] = epoch;
+    const PortId* slots = topo.node_slots(node);
+    std::uint64_t cardinal = shard.masks[node] & ~terminal;
+    while (cardinal != 0) {
+      const auto name = static_cast<std::size_t>(std::countr_zero(cardinal));
+      cardinal &= cardinal - 1;
+      shard.frontier.push_back(slots[name * 2 + kOut]);
     }
   };
 
@@ -98,29 +118,26 @@ void sweep_escape_destination(const RoutingFunction& adaptive,
   // dependency between escape resources — the escape-lane graph contains
   // only the dependencies among escape-lane ports themselves, which is
   // what Duato's condition constrains. The entry hops seed the closure.
-  // One row read per destination replaces |in_ports| virtual reachability
-  // calls (84M of them on torus64); the row is built on first touch by
-  // this shard, for the destinations this shard owns.
+  // The reachability row is built on first touch by this shard, for the
+  // destinations this shard owns.
   const std::uint64_t* reach_row =
       adaptive.closure_row(dest_index, shard.reach);
-  for (std::size_t pi = 0; pi < in_ports.size(); ++pi) {
-    const PortId p = in_ports[pi];
-    if (((reach_row[p >> 6] >> (p & 63)) & 1u) == 0) {
-      continue;
-    }
-    ++shard.states_checked;
-    shard.hop_ids.clear();
-    // The id layer filters non-existent hops, so every returned id is an
-    // available escape entry.
-    escape.next_hop_ids_into(p, dest_index, shard.hop_ids, shard.hops);
-    for (const PortId hid : shard.hop_ids) {
-      seed(hid);
-    }
-    if (shard.hop_ids.empty()) {
+  for (std::size_t w = 0; w < in_port_words.size(); ++w) {
+    std::uint64_t states = reach_row[w] & in_port_words[w];
+    shard.states_checked += static_cast<std::uint64_t>(std::popcount(states));
+    while (states != 0) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(states));
+      states &= states - 1;
+      const auto p = static_cast<PortId>(w * 64 + bit);
+      const std::size_t node = topo.node_of(p);
+      if (shard.masks[node] != 0) {
+        enter(node);
+        continue;
+      }
       ++shard.missing_states;
       if (shard.missing_witness.empty()) {
         shard.missing_dest = dest_index;
-        shard.missing_port = pi;
+        shard.missing_port = p;
         shard.missing_witness =
             topo.port_label(p) + " / " +
             topo.port_label(topo.destination_id(dest_index));
@@ -129,24 +146,16 @@ void sweep_escape_destination(const RoutingFunction& adaptive,
   }
 
   // Escape continuation: follow the (deterministic) escape function from
-  // every escape-lane state until consumption, collecting the lane's own
-  // dependency edges.
+  // every escape-lane out-port until consumption. A cardinal out-port
+  // forwards along its link (the node-uniformity contract); the in-port it
+  // drives takes its node's escape out-ports.
   for (std::size_t head = 0; head < shard.frontier.size(); ++head) {
-    const PortId pid = shard.frontier[head];
-    if (topo.dir_of(pid) == Direction::kOut &&
-        ((topo.terminal_name_mask() >> topo.name_of(pid)) & 1) != 0) {
-      continue;  // consumed
-    }
-    shard.hop_ids.clear();
-    // Malformed mid-lane hops (non-existent ports) are filtered by the id
-    // layer and surface as missing edges.
-    escape.next_hop_ids_into(pid, dest_index, shard.hop_ids, shard.hops);
-    for (const PortId hid : shard.hop_ids) {
-      if (shard.emitted.fresh(pid, hid)) {
-        shard.edges.emplace_back(pid, hid);
-      }
-      seed(hid);
-    }
+    const PortId out = shard.frontier[head];
+    const PortId in = topo.link_target(out);
+    const std::size_t node = topo.node_of(in);
+    shard.link_used[out] = 1;
+    shard.in_used[in] |= shard.masks[node];
+    enter(node);
   }
 }
 
@@ -160,20 +169,23 @@ EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
                 "adaptive and escape functions must share a topology");
   GENOC_REQUIRE(escape.is_deterministic(),
                 "the escape function must be deterministic");
+  GENOC_REQUIRE(escape.node_uniform(),
+                "the escape function must be node-uniform (xy or yx)");
   const Topology& topo = adaptive.topology();
   const std::size_t port_count = topo.port_count();
+  const std::size_t node_count = topo.node_count();
 
   EscapeAnalysis result;
   result.escape_graph.topo = &topo;
   result.escape_graph.mesh = dynamic_cast<const Mesh2D*>(&topo);
   result.escape_graph.graph = Digraph(port_count);
 
-  // The adaptive-lane in-ports (the escape entry states), shared read-only
-  // by every shard.
-  std::vector<PortId> in_ports;
+  // The adaptive-lane in-ports (the escape entry states) as a row mask,
+  // shared read-only by every shard.
+  std::vector<std::uint64_t> in_port_words(adaptive.closure_row_words(), 0);
   for (PortId pid = 0; pid < port_count; ++pid) {
     if (topo.dir_of(pid) == Direction::kIn) {
-      in_ports.push_back(pid);
+      in_port_words[pid >> 6] |= std::uint64_t{1} << (pid & 63);
     }
   }
   const std::size_t dest_count = topo.destination_count();
@@ -181,17 +193,18 @@ EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
   if (pool == nullptr) {
     // Sequential: one shard sweeps every destination in order.
     obs::TraceSpan sweep_span("escape_sweep");
-    shards.emplace_back(port_count);
+    shards.emplace_back(port_count, node_count);
     for (std::size_t dest = 0; dest < dest_count; ++dest) {
-      sweep_escape_destination(adaptive, escape, topo, in_ports, dest,
+      sweep_escape_destination(adaptive, escape, topo, in_port_words, dest,
                                shards.front());
     }
   } else {
     const std::size_t grain = pool->recommended_grain(dest_count);
-    const std::size_t shard_total = (dest_count + grain - 1) / grain;
+    const std::size_t shard_total =
+        std::max<std::size_t>(1, (dest_count + grain - 1) / grain);
     shards.reserve(shard_total);
     for (std::size_t i = 0; i < shard_total; ++i) {
-      shards.emplace_back(port_count);
+      shards.emplace_back(port_count, node_count);
     }
     pool->parallel_for(
         dest_count, grain, [&](std::size_t begin, std::size_t end) {
@@ -202,28 +215,29 @@ EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
           }
           EscapeShard& shard = shards[begin / grain];
           for (std::size_t dest = begin; dest < end; ++dest) {
-            sweep_escape_destination(adaptive, escape, topo, in_ports, dest,
-                                     shard);
+            sweep_escape_destination(adaptive, escape, topo, in_port_words,
+                                     dest, shard);
           }
         });
   }
 
   // Deterministic merge: counters are sums, the witness is the minimum in
-  // (destination, in-port) order, and the edge union is canonicalized by
-  // finalize() — the result never depends on shard count or interleaving.
+  // (destination, in-port) order, and the edge flags are ORed into the
+  // first shard and emitted in port order — already sorted, so finalize()
+  // skips its sort. The result never depends on shard count or
+  // interleaving.
   obs::TraceSpan merge_span("escape_merge");
-  std::size_t total_edges = 0;
-  for (const EscapeShard& shard : shards) {
-    total_edges += shard.edges.size();
-  }
-  result.escape_graph.graph.reserve_edges(total_edges);
+  EscapeShard& merged = shards.front();
   const EscapeShard* first_missing = nullptr;
   for (const EscapeShard& shard : shards) {
+    if (&shard != &merged) {
+      for (PortId pid = 0; pid < port_count; ++pid) {
+        merged.in_used[pid] |= shard.in_used[pid];
+        merged.link_used[pid] |= shard.link_used[pid];
+      }
+    }
     result.states_checked += shard.states_checked;
     result.missing_states += shard.missing_states;
-    for (const auto& [from, to] : shard.edges) {
-      result.escape_graph.graph.add_edge(from, to);
-    }
     if (shard.missing_states != 0 &&
         (first_missing == nullptr ||
          std::pair(shard.missing_dest, shard.missing_port) <
@@ -237,8 +251,23 @@ EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
     result.missing_escape = first_missing->missing_witness;
   }
 
-  result.escape_graph.graph.finalize();
-  result.escape_graph_acyclic = is_acyclic(result.escape_graph.graph);
+  Digraph& graph = result.escape_graph.graph;
+  for (PortId pid = 0; pid < port_count; ++pid) {
+    if (merged.link_used[pid] != 0) {
+      graph.add_edge(pid, topo.link_target(pid));
+    }
+    // Out-port ids ascend with the name index within a node.
+    const PortId* slots = topo.node_slots(topo.node_of(pid));
+    std::uint64_t names = merged.in_used[pid];
+    while (names != 0) {
+      const auto name = static_cast<std::size_t>(std::countr_zero(names));
+      names &= names - 1;
+      graph.add_edge(pid, slots[name * 2 + kOut]);
+    }
+  }
+
+  graph.finalize();
+  result.escape_graph_acyclic = is_acyclic(graph);
   result.deadlock_free =
       result.escape_always_available && result.escape_graph_acyclic;
   {

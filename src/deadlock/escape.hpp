@@ -61,17 +61,24 @@ struct EscapeAnalysis {
 };
 
 /// Runs the analysis: \p adaptive is the (possibly cyclic) routing function
-/// packets normally use; \p escape is a deterministic function whose
-/// next-hop *formula* is total on in-ports (like the paper's Rxy case
-/// split). Both must live on the same mesh.
+/// packets normally use; \p escape is a deterministic, node-uniform
+/// function (like the paper's Rxy, or YX) whose next-hop *formula* is total
+/// on in-ports. Both must live on the same topology.
+///
+/// Node uniformity makes the lane a node-level walk: per destination, one
+/// escape mask per node decides availability for every adaptive-reachable
+/// in-port of that node (missing iff the mask meets no existing out-port),
+/// and a node's escape out-ports join the lane's closure at most once.
+/// Edges accumulate as per-port flags — the out-names each in-port's escape
+/// hops take, and whether each out-port's link is in the lane.
 ///
 /// With a \p pool the per-destination sweeps are sharded across its
-/// threads, each shard on private scratch (stamp epochs, frontier, hop
-/// buffer, edge-dedup cache); the merged result is BIT-IDENTICAL to the
-/// sequential analysis at every thread count (Digraph::finalize
-/// canonicalizes the edge set, counters are order-free sums, and the
-/// missing-escape witness is the canonical minimum). pool == nullptr runs
-/// the classic sequential sweep.
+/// threads, each shard on private scratch (node masks and stamps, an
+/// out-port frontier, per-port edge flags); the merged result is
+/// BIT-IDENTICAL to the sequential analysis at every thread count (the
+/// flags merge by OR and are emitted in port order, counters are order-free
+/// sums, and the missing-escape witness is the canonical minimum).
+/// pool == nullptr sweeps every destination on the calling thread.
 EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
                               const RoutingFunction& escape,
                               ThreadPool* pool = nullptr);

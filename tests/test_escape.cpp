@@ -1,6 +1,9 @@
 // Tests for the Duato-style escape-channel analysis (Sec. IX extension).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "deadlock/escape.hpp"
 #include "graph/cycle.hpp"
 #include "routing/fully_adaptive.hpp"
@@ -62,6 +65,31 @@ TEST(Escape, CyclicEscapeFunctionIsRejected) {
   const Mesh2D mesh(3, 3);
   const FullyAdaptiveRouting adaptive(mesh);
   EXPECT_THROW(analyze_escape(adaptive, adaptive), ContractViolation);
+}
+
+/// XY under another name that does not claim node uniformity: a
+/// deterministic escape lane the node-level analysis must refuse.
+class NonUniformXY final : public RoutingFunction {
+ public:
+  explicit NonUniformXY(const Mesh2D& mesh)
+      : RoutingFunction(mesh), xy_(mesh) {}
+
+  std::string name() const override { return "XY (not node-uniform)"; }
+  bool is_deterministic() const override { return true; }
+  void append_next_hops(const Port& current, const Port& dest,
+                        std::vector<Port>& out) const override {
+    xy_.append_next_hops(current, dest, out);
+  }
+
+ private:
+  XYRouting xy_;
+};
+
+TEST(Escape, NonNodeUniformEscapeFunctionIsRejected) {
+  const Mesh2D mesh(3, 3);
+  const FullyAdaptiveRouting adaptive(mesh);
+  const NonUniformXY escape(mesh);
+  EXPECT_THROW(analyze_escape(adaptive, escape), ContractViolation);
 }
 
 TEST(Escape, MeshMismatchIsRejected) {

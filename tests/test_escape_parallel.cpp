@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "deadlock/escape.hpp"
+#include "escape_oracle.hpp"
 #include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
 #include "routing/fully_adaptive.hpp"
@@ -61,9 +62,9 @@ TEST(EscapeParallel, BitIdenticalOnEveryEscapePreset) {
 
 /// A deliberately broken escape lane: XY everywhere except that every
 /// in-port state at nodes with x == 1 gets no hop at all. Deterministic
-/// (at most one hop) but unavailable on many states spread across
-/// destinations — exactly the shape that would expose witness
-/// nondeterminism in a sharded sweep.
+/// (at most one hop) and node-uniform, but unavailable on many states
+/// spread across destinations — exactly the shape that would expose
+/// witness nondeterminism in a sharded sweep.
 class HolePuncturedXY final : public RoutingFunction {
  public:
   explicit HolePuncturedXY(const Mesh2D& mesh)
@@ -78,6 +79,12 @@ class HolePuncturedXY final : public RoutingFunction {
       return;  // no escape hop from any in-port of column 1
     }
     xy_.append_next_hops(current, dest, out);
+  }
+
+  bool node_uniform() const override { return true; }
+  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
+                             const Port& dest) const override {
+    return x == 1 ? 0 : xy_.node_out_mask(x, y, dest);
   }
 
  private:
@@ -112,6 +119,22 @@ TEST(EscapeParallel, SummaryIsBoundedWithManyMissingStates) {
   EXPECT_NE(text.find("more"), std::string::npos) << text;
   EXPECT_LT(text.size(), 256u) << text;
   EXPECT_NE(text.find(analysis.missing_escape), std::string::npos);
+}
+
+TEST(EscapeParallel, PuncturedMaskMatchesPerPortOracle) {
+  // The mutant's node mask and its append_next_hops must describe the same
+  // lane: the per-port oracle reads only the latter.
+  const Mesh2D mesh(5, 4);
+  const FullyAdaptiveRouting adaptive(mesh);
+  const HolePuncturedXY escape(mesh);
+  const EscapeAnalysis oracle = analyze_escape_per_port(adaptive, escape);
+  ASSERT_GT(oracle.missing_states, 1u);
+  expect_identical(analyze_escape(adaptive, escape), oracle);
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    expect_identical(analyze_escape(adaptive, escape, &pool), oracle);
+  }
 }
 
 TEST(EscapeParallel, PoolOfOneMatchesNullptr) {

@@ -28,7 +28,10 @@ fails (exit 1) when a guarded ratio regresses:
   5. With --max-ns NAME=NS (repeatable): the named benchmark's ns_per_op
      must not exceed the absolute ceiling — e.g.
      --max-ns verify_mesh128_xy=95000000 pins the headline "mesh128
-     verifies in under 95 ms at 4 threads" (about 3x the measured ~31 ms).
+     verifies in under 95 ms at 4 threads" (about 3x the measured ~31 ms),
+     and --max-ns escape_parallel_64x64=600000000 keeps the node-level
+     escape walk on the 64x64 torus under 0.6 s at 4 threads (about 3x
+     the measured ~0.2 s; the per-port sweep it replaced took ~1.1 s).
   6. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
      max_rss_kb (peak process RSS when its artifact was written) must not
      exceed the ceiling — the memory gate for the mesh256-xy verify.
