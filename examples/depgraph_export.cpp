@@ -14,6 +14,7 @@
 #include <iostream>
 #include <string>
 
+#include "deadlock/depgraph.hpp"
 #include "deadlock/flows.hpp"
 #include "graph/cycle.hpp"
 #include "instance/network_instance.hpp"
@@ -29,7 +30,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const genoc::NetworkInstance network(*spec);
-  const genoc::PortDepGraph dep = network.dependency_graph();
+  const genoc::PortDepGraph dep =
+      genoc::build_dep_graph_fast(network.routing());
 
   std::cout << "Port dependency graph of " << network.name() << " ("
             << network.routing().name() << " on " << spec->topology << " "

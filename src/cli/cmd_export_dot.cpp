@@ -76,7 +76,7 @@ int cmd_export_dot(const Args& args) {
       return 2;
     }
     network.emplace(*spec);
-    dep = network->dependency_graph();
+    dep = build_dep_graph_fast(network->routing());
     if (graph_name.empty()) {
       graph_name = dot_identifier(network->name());
     }

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "deadlock/depgraph.hpp"
-#include "instance/network_instance.hpp"
 #include "instance/spec.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/pipeline.hpp"
@@ -51,8 +50,9 @@ class BatchRunner : public ThreadPool {
 /// spec order. \p runner == nullptr degrades to the sequential loop.
 /// Artifacts are acquired from base.artifacts when set, else from a
 /// store local to this call, so duplicate spec prefixes are computed once
-/// either way. Verdicts are identical to per-instance
-/// NetworkInstance::verify() modulo cpu_ms.
+/// either way. Each row runs the pipeline over the spec and its store
+/// context; no other topology is built. Verdicts are identical to
+/// per-instance NetworkInstance::verify() modulo cpu_ms.
 std::vector<VerifyReport> verify_instance_reports(
     const std::vector<InstanceSpec>& specs, const VerifyPipeline& pipeline,
     BatchRunner* runner, const InstanceVerifyOptions& base = {});

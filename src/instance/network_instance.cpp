@@ -1,5 +1,6 @@
 #include "instance/network_instance.hpp"
 
+#include "obs/metrics.hpp"
 #include "routing/cmesh_dor.hpp"
 #include "routing/dragonfly_min.hpp"
 #include "routing/fully_adaptive.hpp"
@@ -13,7 +14,6 @@
 #include "switching/store_forward.hpp"
 #include "switching/wormhole.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/pipeline.hpp"
 
 namespace genoc {
@@ -34,6 +34,9 @@ const T& family_cast(const Topology& topology, const std::string& name) {
 }  // namespace
 
 std::unique_ptr<Topology> make_topology(const InstanceSpec& spec) {
+  static obs::Counter& builds =
+      obs::MetricsRegistry::global().counter("topology.builds");
+  builds.increment();
   if (spec.topology == "cmesh") {
     return std::make_unique<CMeshTopology>(spec.width, spec.height,
                                            spec.concentration);
@@ -107,23 +110,15 @@ std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name) {
   return nullptr;
 }
 
-NetworkInstance::NetworkInstance(const InstanceSpec& spec) : spec_(spec) {
-  const std::string invalid = validate_spec(spec_);
-  GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
-  display_name_ = spec_.name.empty() ? to_spec_string(spec_) : spec_.name;
-  topo_ = make_topology(spec_);
-  routing_ = make_routing(spec_.routing, *topo_);
-  if (!spec_.escape.empty()) {
-    escape_ = make_routing(spec_.escape, *topo_);
-  }
-  switching_ = make_switching(spec_.switching);
-}
+NetworkInstance::NetworkInstance(const InstanceSpec& spec)
+    : spec_(spec),
+      context_(std::make_unique<AnalysisArtifacts>(spec_)),
+      switching_(make_switching(spec_.switching)) {}
 
 const Mesh2D& NetworkInstance::mesh() const {
-  const Mesh2D* grid = dynamic_cast<const Mesh2D*>(topo_.get());
-  GENOC_REQUIRE(grid != nullptr, "instance '" + display_name_ +
-                                     "' is a " + topo_->family() +
-                                     ", not a grid");
+  const Mesh2D* grid = dynamic_cast<const Mesh2D*>(&topology());
+  GENOC_REQUIRE(grid != nullptr, "instance '" + name() + "' is a " +
+                                     topology().family() + ", not a grid");
   return *grid;
 }
 
@@ -135,14 +130,14 @@ std::vector<TrafficPair> NetworkInstance::make_traffic() const {
   return generate_traffic(*pattern, mesh(), spec_.messages, rng);
 }
 
-PortDepGraph NetworkInstance::dependency_graph(ThreadPool* runner) const {
-  return runner != nullptr ? build_dep_graph_parallel(*routing_, *runner)
-                           : build_dep_graph_fast(*routing_);
-}
-
 InstanceVerdict NetworkInstance::verify(
     const InstanceVerifyOptions& options) const {
-  return VerifyPipeline::standard().run(*this, options).verdict;
+  if (options.artifacts != nullptr) {
+    return VerifyPipeline::standard()
+        .run(spec_, *options.artifacts->acquire(spec_), options)
+        .verdict;
+  }
+  return VerifyPipeline::standard().run(spec_, *context_, options).verdict;
 }
 
 SimulationReport NetworkInstance::simulate(
@@ -151,7 +146,7 @@ SimulationReport NetworkInstance::simulate(
   SimulationOptions opts = options;
   opts.flit_count = spec_.flits;
   Rng rng(spec_.seed);
-  return simulate_routing(mesh(), *routing_, pairs, spec_.buffers, rng, opts,
+  return simulate_routing(mesh(), routing(), pairs, spec_.buffers, rng, opts,
                           switching_.get());
 }
 

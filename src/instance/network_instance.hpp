@@ -1,13 +1,13 @@
 /// \file network_instance.hpp
-/// \brief NetworkInstance: an InstanceSpec brought to life — topology,
-///        routing function, optional escape lane, switching policy and
-///        workload bound into one verifiable/simulable object.
+/// \brief NetworkInstance: an InstanceSpec brought to life — one analysis
+///        context (topology, routing function, optional escape lane) plus
+///        the switching policy and workload that `genoc sim` needs.
 ///
-/// This is the layer the paper implies between the generic theory and the
-/// drivers: `genoc verify/sim/export-dot` all operate on NetworkInstances
-/// now, so every topology x routing x switching combination the spec
-/// grammar can express goes through one code path instead of a hand-wired
-/// main per experiment.
+/// Verification does not need this class: `genoc verify` and `genoc
+/// campaign` run VerifyPipeline::run over a spec and the AnalysisArtifacts
+/// context they already hold. A NetworkInstance owns exactly one such
+/// context and reads topology, routing and escape through it, so no spec is
+/// ever built twice to answer one question.
 #pragma once
 
 #include <cstdint>
@@ -15,18 +15,16 @@
 #include <string>
 #include <vector>
 
-#include "deadlock/depgraph.hpp"
 #include "instance/spec.hpp"
 #include "routing/routing.hpp"
 #include "sim/simulator.hpp"
 #include "switching/policy.hpp"
 #include "topology/mesh.hpp"
+#include "verify/artifacts.hpp"
 #include "verify/verdict.hpp"
 #include "workload/traffic.hpp"
 
 namespace genoc {
-
-class ThreadPool;
 
 /// Topology factory over the registered families of known_topologies():
 /// grids map to Mesh2D with the spec's wrap flags, cmesh/dragonfly to their
@@ -45,44 +43,36 @@ std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name);
 
 class NetworkInstance {
  public:
-  /// Builds every constituent. Requires validate_spec(spec).empty();
-  /// throws ContractViolation otherwise.
+  /// Builds the analysis context and the switching policy. Requires
+  /// validate_spec(spec).empty(); throws ContractViolation otherwise.
   explicit NetworkInstance(const InstanceSpec& spec);
 
   NetworkInstance(NetworkInstance&&) = default;
   NetworkInstance& operator=(NetworkInstance&&) = default;
 
   const InstanceSpec& spec() const { return spec_; }
-  /// spec().name for presets; the canonical spec string for ad-hoc specs.
-  const std::string& name() const { return display_name_; }
+  /// display_name(spec()).
+  std::string name() const { return display_name(spec_); }
   /// The port graph, whatever its family.
-  const Topology& topology() const { return *topo_; }
+  const Topology& topology() const { return context_->topology(); }
   /// The grid view; REQUIREs spec().is_grid(). The Port-tuple consumers
   /// (simulator, escape lanes, constraints) go through this accessor.
   const Mesh2D& mesh() const;
-  const RoutingFunction& routing() const { return *routing_; }
+  const RoutingFunction& routing() const { return context_->routing(); }
   /// The escape-lane routing, or nullptr when the spec has none.
-  const RoutingFunction* escape() const { return escape_.get(); }
+  const RoutingFunction* escape() const { return context_->escape_routing(); }
   const SwitchingPolicy& switching() const { return *switching_; }
 
   /// The spec's workload (pattern/messages/seed), deterministically.
   /// Grid-only: the traffic patterns address the Port-tuple grid.
   std::vector<TrafficPair> make_traffic() const;
 
-  /// The port dependency graph of the instance's routing function, built
-  /// by the per-destination fast builder — sharded over destinations on
-  /// \p runner when given. Bit-identical to the generic construction.
-  PortDepGraph dependency_graph(ThreadPool* runner = nullptr) const;
-
-  /// Verifies deadlock freedom: builds the dependency graph, checks (C-3);
-  /// on a cyclic graph falls back to the Duato escape-lane analysis when
-  /// the spec names an escape routing. Deterministic modulo cpu_ms.
-  ///
-  /// Compatibility wrapper: runs VerifyPipeline::standard() (verify/) over
-  /// this instance's constituents — or over options.artifacts' shared
-  /// context when a batch store is given — and returns the verdict row.
-  /// Callers that want the typed Diagnostics, per-stage stats or cache
-  /// counters use VerifyPipeline::run directly.
+  /// Verifies deadlock freedom with VerifyPipeline::standard(): builds the
+  /// dependency graph, checks (C-3); on a cyclic graph falls back to the
+  /// Duato escape-lane analysis when the spec names an escape routing.
+  /// Runs over options.artifacts' context for this spec when a store is
+  /// given, else over the instance's own context — whose artifacts are
+  /// cached, so a second call reuses the first call's graph.
   InstanceVerdict verify(const InstanceVerifyOptions& options = {}) const;
 
   /// Simulates \p pairs under the instance's switching policy (adaptive
@@ -92,10 +82,7 @@ class NetworkInstance {
 
  private:
   InstanceSpec spec_;
-  std::string display_name_;
-  std::unique_ptr<Topology> topo_;
-  std::unique_ptr<RoutingFunction> routing_;
-  std::unique_ptr<RoutingFunction> escape_;
+  std::unique_ptr<AnalysisArtifacts> context_;
   std::unique_ptr<SwitchingPolicy> switching_;
 };
 

@@ -295,6 +295,10 @@ std::optional<InstanceSpec> parse_instance_spec(const std::string& text,
   return spec;
 }
 
+std::string display_name(const InstanceSpec& spec) {
+  return spec.name.empty() ? to_spec_string(spec) : spec.name;
+}
+
 std::string to_spec_string(const InstanceSpec& spec) {
   std::ostringstream os;
   os << "topology=" << spec.topology;

@@ -132,6 +132,10 @@ std::optional<InstanceSpec> parse_instance_spec(const std::string& text,
 /// (name/summary are registry metadata and are not part of the string).
 std::string to_spec_string(const InstanceSpec& spec);
 
+/// The name a report shows for \p spec: the registry name for presets, the
+/// canonical spec string for ad-hoc specs.
+std::string display_name(const InstanceSpec& spec);
+
 /// Cross-field validation: dimension ranges (wrapped dimensions need >= 2
 /// nodes), torus_xy requires a wrapped topology, escape must name a
 /// deterministic routing, and every enumerated field must be known.

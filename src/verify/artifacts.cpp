@@ -32,22 +32,14 @@ KindCounters kind_counters(const char* kind) {
 
 }  // namespace
 
-AnalysisArtifacts::AnalysisArtifacts(const Topology& topology,
-                                     const RoutingFunction& routing,
-                                     const RoutingFunction* escape)
-    : topo_(&topology), routing_(&routing), escape_(escape) {}
-
 AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec) {
   const std::string invalid = validate_spec(spec);
   GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
-  owned_topo_ = make_topology(spec);
-  owned_routing_ = make_routing(spec.routing, *owned_topo_);
+  topo_ = make_topology(spec);
+  routing_ = make_routing(spec.routing, *topo_);
   if (!spec.escape.empty()) {
-    owned_escape_ = make_routing(spec.escape, *owned_topo_);
+    escape_ = make_routing(spec.escape, *topo_);
   }
-  topo_ = owned_topo_.get();
-  routing_ = owned_routing_.get();
-  escape_ = owned_escape_.get();
 }
 
 AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
@@ -57,10 +49,10 @@ AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
       !routing_->node_uniform()) {
     return;  // nothing to delta from — full builds as usual
   }
-  const auto* variant_mesh = dynamic_cast<const Mesh2D*>(topo_);
+  const auto* variant_mesh = dynamic_cast<const Mesh2D*>(topo_.get());
   const auto* base_mesh = dynamic_cast<const Mesh2D*>(&base->topology());
   if (variant_mesh == nullptr || base_mesh == nullptr) {
-    return;  // faults are grid-only; defensive for borrowed bases
+    return;  // faults are grid-only
   }
   GENOC_REQUIRE(base_mesh->width() == variant_mesh->width() &&
                     base_mesh->height() == variant_mesh->height() &&

@@ -371,30 +371,29 @@ std::vector<std::string> VerifyPipeline::stage_names() const {
   return result;
 }
 
-VerifyReport VerifyPipeline::run(const NetworkInstance& instance,
+VerifyReport VerifyPipeline::run(const InstanceSpec& spec,
                                  AnalysisArtifacts& artifacts,
                                  const InstanceVerifyOptions& options) const {
   obs::TraceSpan run_span("verify_pipeline");
   if (run_span.active()) {
-    run_span.set_detail(instance.name());
+    run_span.set_detail(display_name(spec));
   }
   Stopwatch timer;
   CpuStopwatch cpu_timer;
   const ArtifactCacheStats before = artifacts.stats();
   VerifyReport report;
   InstanceVerdict& verdict = report.verdict;
-  verdict.instance = instance.name();
-  verdict.spec = to_spec_string(instance.spec());
-  verdict.topology = instance.spec().topology;
-  verdict.routing = instance.routing().name();
-  verdict.switching = instance.switching().name();
-  verdict.nodes = instance.topology().node_count();
-  verdict.ports = instance.topology().port_count();
-  verdict.deterministic = instance.routing().is_deterministic();
-  verdict.expected_deadlock_free = instance.spec().expect_deadlock_free;
+  verdict.instance = display_name(spec);
+  verdict.spec = to_spec_string(spec);
+  verdict.topology = spec.topology;
+  verdict.routing = artifacts.routing().name();
+  verdict.switching = make_switching(spec.switching)->name();
+  verdict.nodes = artifacts.topology().node_count();
+  verdict.ports = artifacts.topology().port_count();
+  verdict.deterministic = artifacts.routing().is_deterministic();
+  verdict.expected_deadlock_free = spec.expect_deadlock_free;
 
-  CheckContext ctx{instance.spec(), artifacts, options, options.runner,
-                   report};
+  CheckContext ctx{spec, artifacts, options, options.runner, report};
   report.stages.reserve(stages_.size());
   for (const Check* check : stages_) {
     obs::TraceSpan stage_span(check->name());
@@ -449,15 +448,9 @@ VerifyReport VerifyPipeline::run(const NetworkInstance& instance,
 }
 
 VerifyReport VerifyPipeline::run(const NetworkInstance& instance,
+                                 AnalysisArtifacts& artifacts,
                                  const InstanceVerifyOptions& options) const {
-  if (options.artifacts != nullptr) {
-    const std::shared_ptr<AnalysisArtifacts> shared =
-        options.artifacts->acquire(instance.spec());
-    return run(instance, *shared, options);
-  }
-  AnalysisArtifacts local(instance.topology(), instance.routing(),
-                          instance.escape());
-  return run(instance, local, options);
+  return run(instance.spec(), artifacts, options);
 }
 
 }  // namespace genoc

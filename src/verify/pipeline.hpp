@@ -9,8 +9,9 @@
 ///   escape          — the Duato escape-lane fallback for cyclic graphs
 ///   constraints     — (C-1)/(C-2), when requested
 ///
-/// `NetworkInstance::verify` is a thin wrapper over run(); `genoc verify
-/// --stages a,b,c` builds a custom selection through from_stage_names().
+/// `genoc verify` and `genoc campaign` call run() with the spec and the
+/// analysis context they already hold; `genoc verify --stages a,b,c` builds
+/// a custom selection through from_stage_names().
 /// Stages pull their inputs from the artifact cache, so a subset pipeline
 /// stays sound — it computes what it needs and skips what does not apply —
 /// but only a pipeline containing a deciding stage can conclude
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "instance/spec.hpp"
 #include "verify/check.hpp"
 #include "verify/report.hpp"
 
@@ -46,18 +48,17 @@ class VerifyPipeline {
   std::vector<std::string> stage_names() const;
 
   /// Runs every stage over \p artifacts and renders the report. The
-  /// verdict's header fields (names, dimensions, determinism) come from
-  /// \p instance; the analysis runs on the artifact context (identical
-  /// semantics — for store-shared artifacts, a different but spec-equal
-  /// object). cache counters are the DELTA this run caused.
-  VerifyReport run(const NetworkInstance& instance,
-                   AnalysisArtifacts& artifacts,
+  /// verdict header comes from \p spec (names, switching, expectation) and
+  /// from the context's topology and routing (sizes, determinism), so
+  /// \p artifacts must be the context of \p spec's analysis prefix — its
+  /// own, or a store-shared one with the same AnalysisArtifacts::key().
+  /// cache counters are the DELTA this run caused.
+  VerifyReport run(const InstanceSpec& spec, AnalysisArtifacts& artifacts,
                    const InstanceVerifyOptions& options) const;
 
-  /// Convenience: run over the instance's own constituents (or the
-  /// options.artifacts store when set) — exactly NetworkInstance::verify
-  /// but returning the full report.
+  /// run(instance.spec(), artifacts, options).
   VerifyReport run(const NetworkInstance& instance,
+                   AnalysisArtifacts& artifacts,
                    const InstanceVerifyOptions& options) const;
 
  private:

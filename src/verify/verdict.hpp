@@ -18,13 +18,14 @@ namespace genoc {
 class ThreadPool;
 class ArtifactStore;
 
-/// Options for one instance verification (NetworkInstance::verify and the
-/// VerifyPipeline behind it).
+/// Options for one instance verification (VerifyPipeline::run and
+/// NetworkInstance::verify).
 struct InstanceVerifyOptions {
-  /// Shard the dependency-graph construction (per destination), the SCC
-  /// stage and the escape-lane analysis across this pool; nullptr runs
-  /// sequentially. Results are bit-identical either way. (BatchRunner IS-A
-  /// ThreadPool, so batch callers pass their runner unchanged.)
+  /// Shard the dependency-graph construction (per destination), the
+  /// reachability-closure prime and the escape-lane analysis across this
+  /// pool; nullptr runs sequentially. (C-3) is one sequential DFS either
+  /// way, and results are bit-identical. (BatchRunner IS-A ThreadPool, so
+  /// batch callers pass their runner unchanged.)
   ThreadPool* runner = nullptr;
   /// Additionally discharge (C-1)/(C-2) (quadratic-ish; off for sweeps).
   bool check_constraints = false;
@@ -32,11 +33,14 @@ struct InstanceVerifyOptions {
   /// per-destination fast builder (cross-check escape hatch; the two are
   /// bit-identical, so verdicts never differ).
   bool generic_builder = false;
-  /// Batch-wide artifact sharing: when set, the analysis artifacts (dep
-  /// graph, primed closure, SCC verdict, escape analysis) are acquired from
-  /// this store, keyed by the spec's topology x routing x escape prefix, so
-  /// a second instance sharing the prefix reuses them instead of
-  /// recomputing. nullptr analyzes the instance's own constituents.
+  /// Batch-wide artifact sharing, read by NetworkInstance::verify and
+  /// verify_instance_reports (VerifyPipeline::run takes its context as an
+  /// argument): when set, the analysis artifacts (dep graph, primed
+  /// closure, acyclicity verdict, escape analysis) are acquired from this
+  /// store, keyed by the spec's topology x routing x escape prefix, so a
+  /// second instance sharing the prefix reuses them instead of recomputing.
+  /// nullptr analyzes the instance's own context (NetworkInstance::verify)
+  /// or a store local to the sweep (verify_instance_reports).
   ArtifactStore* artifacts = nullptr;
 };
 

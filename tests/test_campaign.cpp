@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -17,6 +18,7 @@
 #include "cli/campaign_json.hpp"
 #include "instance/registry.hpp"
 #include "instance/spec.hpp"
+#include "obs/metrics.hpp"
 #include "topology/mesh.hpp"
 #include "util/require.hpp"
 #include "verify/artifacts.hpp"
@@ -190,12 +192,20 @@ TEST(FaultSpec, FailedLinkRemovesAllFourChannelPorts) {
 // The campaign engine.
 // ---------------------------------------------------------------------------
 
+std::uint64_t topology_builds() {
+  return obs::MetricsRegistry::global().counter("topology.builds").value();
+}
+
 TEST(Campaign, SingleFaultMeshIsFullyVerifiedOffOneBaseContext) {
   CampaignOptions options;
   options.plan = plan_or_die("single");
   options.threads = 2;
+  const std::uint64_t builds_before = topology_builds();
   const CampaignReport report =
       run_campaign(spec_or_die("topology=mesh size=6x6 routing=xy"), options);
+  // One topology for the base context and one per variant context; the
+  // verdict header is read from the context, not from a second build.
+  EXPECT_EQ(topology_builds() - builds_before, 61u);
   EXPECT_EQ(report.links, 60u);
   EXPECT_EQ(report.variants_total, 60u);
   EXPECT_TRUE(report.all_accounted());
@@ -249,19 +259,28 @@ TEST(Campaign, DoubleFaultsOnA3x3ScreenTheShatteredVariants) {
 }
 
 TEST(Campaign, ReportIsByteIdenticalAtAnyThreadCount) {
-  const InstanceSpec base = spec_or_die("topology=mesh size=6x6 routing=xy");
-  CampaignOptions options;
-  options.plan = plan_or_die("single");
-  std::vector<std::string> rendered;
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    options.threads = threads;
-    const CampaignReport report = run_campaign(base, options);
-    // include_timing=false drops threads/wall_ms — the determinism contract
-    // covers everything else, byte for byte.
-    rendered.push_back(cli::campaign_report_json(report, false));
+  // An acyclic mesh, and a torus whose double faults leave mostly
+  // deadlocked variants, each with an escape-lane analysis.
+  for (const auto& [text, plan] :
+       {std::pair<const char*, const char*>{
+            "topology=mesh size=6x6 routing=xy", "single"},
+        std::pair<const char*, const char*>{
+            "topology=torus size=4x4 routing=torus_xy escape=xy", "double"}}) {
+    SCOPED_TRACE(text);
+    const InstanceSpec base = spec_or_die(text);
+    CampaignOptions options;
+    options.plan = plan_or_die(plan);
+    std::vector<std::string> rendered;
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      options.threads = threads;
+      const CampaignReport report = run_campaign(base, options);
+      // include_timing=false drops threads/wall_ms — the determinism
+      // contract covers everything else, byte for byte.
+      rendered.push_back(cli::campaign_report_json(report, false));
+    }
+    EXPECT_EQ(rendered[0], rendered[1]);
+    EXPECT_EQ(rendered[0], rendered[2]);
   }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_EQ(rendered[0], rendered[2]);
 }
 
 TEST(Campaign, RandomPlanReportsItsCanonicalPlanString) {

@@ -9,8 +9,8 @@
 #include "cli/json_reader.hpp"
 #include "cli/json_writer.hpp"
 #include "cli/verify_json.hpp"
-#include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
+#include "verify/artifacts.hpp"
 #include "verify/pipeline.hpp"
 
 namespace genoc::cli {
@@ -182,8 +182,9 @@ TEST(JsonReader, EveryPipelineDiagnosticRoundTripsThroughTheWireFormat) {
   const genoc::InstanceSpec* spec =
       genoc::InstanceRegistry::global().find("torus8-xy");
   ASSERT_NE(spec, nullptr);
+  genoc::AnalysisArtifacts context(*spec);
   const genoc::VerifyReport report = genoc::VerifyPipeline::standard().run(
-      genoc::NetworkInstance(*spec), genoc::InstanceVerifyOptions{});
+      *spec, context, genoc::InstanceVerifyOptions{});
   const JsonValue doc = parse_ok(report_json(report));
   EXPECT_EQ(doc.get_string("instance"), report.verdict.instance);
   EXPECT_EQ(doc.get_bool("deadlock_free"), report.verdict.deadlock_free);

@@ -152,8 +152,7 @@ TEST(TopologyFamilies, DragonflyCycleWitnessIsStableAcrossThreadCounts) {
       InstanceRegistry::global().resolve("dragonfly9-min", &error);
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_FALSE(spec->expect_deadlock_free);
-  const NetworkInstance instance(*spec);
-  const InstanceVerdict sequential = instance.verify();
+  const InstanceVerdict sequential = NetworkInstance(*spec).verify();
   EXPECT_FALSE(sequential.deadlock_free);
   EXPECT_TRUE(sequential.as_expected());
   EXPECT_EQ(sequential.method, "cycle");
@@ -164,7 +163,8 @@ TEST(TopologyFamilies, DragonflyCycleWitnessIsStableAcrossThreadCounts) {
     BatchRunner runner(threads);
     InstanceVerifyOptions options;
     options.runner = &runner;
-    const InstanceVerdict sharded = instance.verify(options);
+    // A fresh instance, so the sharded build runs instead of a cache hit.
+    const InstanceVerdict sharded = NetworkInstance(*spec).verify(options);
     EXPECT_EQ(sharded.note, sequential.note) << threads << " threads";
     EXPECT_EQ(sharded.edges, sequential.edges) << threads << " threads";
     EXPECT_EQ(sharded.method, sequential.method) << threads << " threads";

@@ -25,9 +25,7 @@
 #include "instance/batch_runner.hpp"
 #include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
-#include "routing/torus_xy.hpp"
-#include "routing/xy.hpp"
-#include "topology/mesh.hpp"
+#include "obs/metrics.hpp"
 #include "verify/artifacts.hpp"
 #include "verify/pipeline.hpp"
 
@@ -52,9 +50,11 @@ InstanceVerdict legacy_verify(const NetworkInstance& instance,
   verdict.deterministic = instance.routing().is_deterministic();
   verdict.expected_deadlock_free = instance.spec().expect_deadlock_free;
 
-  const PortDepGraph dep = options.generic_builder
-                               ? build_dep_graph(instance.routing())
-                               : instance.dependency_graph(options.runner);
+  const PortDepGraph dep =
+      options.generic_builder ? build_dep_graph(instance.routing())
+      : options.runner != nullptr
+          ? build_dep_graph_parallel(instance.routing(), *options.runner)
+          : build_dep_graph_fast(instance.routing());
   verdict.edges = dep.graph.edge_count();
   verdict.checks =
       static_cast<std::uint64_t>(instance.topology().port_count()) *
@@ -153,11 +153,12 @@ TEST(VerifyPipeline, MatchesLegacyAcrossThreadCountsOnSmallPresets) {
       InstanceVerifyOptions options;
       options.runner = &runner;
       const InstanceVerdict want = legacy_verify(instance, options);
-      // Wrapper path (instance-borrowed artifacts).
+      // Wrapper path (the instance's own context).
       expect_verdicts_equal(
           instance.verify(options), want,
           spec.name + " wrapper @" + std::to_string(threads) + "t");
-      // Explicit pipeline over a store-shared context.
+      // Explicit pipeline over a store-shared context, through the
+      // NetworkInstance forward.
       ArtifactStore store;
       const std::shared_ptr<AnalysisArtifacts> artifacts =
           store.acquire(spec);
@@ -200,8 +201,10 @@ TEST(VerifyPipeline, MatchesLegacyWithConstraintsAndGenericBuilder) {
         std::string("hermes-torus")}) {
     const InstanceSpec* spec = InstanceRegistry::global().find(name);
     ASSERT_NE(spec, nullptr) << name;
-    const NetworkInstance instance(*spec);
     for (const bool generic : {false, true}) {
+      // A fresh instance per option: its context caches the graph, so a
+      // second verify() on one instance would never run the other builder.
+      const NetworkInstance instance(*spec);
       InstanceVerifyOptions options;
       options.check_constraints = true;
       options.generic_builder = generic;
@@ -249,13 +252,19 @@ TEST(VerifyPipeline, AcyclicityIsIdenticalAtEveryPoolSize) {
   }
 }
 
-/// The pooled (C-3) verdict on \p routing equals sequential Tarjan's, and
-/// the witness is a real cycle inside one non-trivial Tarjan component,
-/// identical to the sequential DFS's.
-void expect_pooled_acyclicity_matches_tarjan(const Topology& topology,
-                                             const RoutingFunction& routing,
+InstanceSpec spec_or_die(const std::string& text) {
+  std::string error;
+  const auto spec = InstanceRegistry::global().resolve(text, &error);
+  EXPECT_TRUE(spec.has_value()) << error;
+  return spec.value_or(InstanceSpec{});
+}
+
+/// The pooled (C-3) verdict on \p spec's context equals sequential
+/// Tarjan's, and the witness is a real cycle inside one non-trivial Tarjan
+/// component, identical to the sequential DFS's.
+void expect_pooled_acyclicity_matches_tarjan(const std::string& spec,
                                              BatchRunner& runner) {
-  AnalysisArtifacts artifacts(topology, routing, nullptr);
+  AnalysisArtifacts artifacts(spec_or_die(spec));
   const AcyclicityArtifact& got = artifacts.acyclicity(false, &runner);
   const Digraph& graph = artifacts.dep_graph(false, &runner).graph;
   EXPECT_EQ(got.acyclic, !has_nontrivial_scc(graph));
@@ -275,22 +284,24 @@ void expect_pooled_acyclicity_matches_tarjan(const Topology& topology,
 
 TEST(ParallelScc, SixtyFourBySixtyFourMatchesTarjan) {
   // Acyclic: every dependency is peeled, the pool only shards the build.
-  const Mesh2D mesh(64, 64);
-  const XYRouting xy(mesh);
   BatchRunner runner(8);
-  expect_pooled_acyclicity_matches_tarjan(mesh, xy, runner);
+  expect_pooled_acyclicity_matches_tarjan("topology=mesh size=64x64 routing=xy",
+                                          runner);
 }
 
 TEST(ParallelScc, LevelSynchronousTrimOnCyclicTorus64) {
   // The 64x64 torus graph keeps its wrap rings: the pooled path must find
   // one of them, the same one at every thread count.
-  const Mesh2D torus(64, 64, true, true);
-  const TorusXYRouting routing(torus);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     SCOPED_TRACE(threads);
     BatchRunner runner(threads);
-    expect_pooled_acyclicity_matches_tarjan(torus, routing, runner);
+    expect_pooled_acyclicity_matches_tarjan(
+        "topology=torus size=64x64 routing=torus_xy", runner);
   }
+}
+
+std::uint64_t topology_builds() {
+  return obs::MetricsRegistry::global().counter("topology.builds").value();
 }
 
 TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
@@ -309,9 +320,13 @@ TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
   InstanceVerifyOptions base;
   ArtifactStore store;
   base.artifacts = &store;
+  const std::uint64_t builds_before = topology_builds();
   const std::vector<VerifyReport> reports = verify_instance_reports(
       presets, VerifyPipeline::standard(), &runner, base);
   ASSERT_EQ(reports.size(), presets.size());
+  // One topology per distinct context: the rows read their verdict header
+  // from the context, so no instance builds a second one.
+  EXPECT_EQ(topology_builds() - builds_before, keys.size());
 
   // Distinct contexts materialized once; duplicates acquired as hits.
   EXPECT_EQ(store.context_count(), keys.size());
@@ -401,8 +416,9 @@ TEST(VerifyPipeline, SubsetWithoutDecidingStageIsUndecided) {
   const auto pipeline =
       VerifyPipeline::from_stage_names({"build_depgraph"}, &error);
   ASSERT_TRUE(pipeline.has_value()) << error;
+  AnalysisArtifacts context(*spec);
   const VerifyReport report =
-      pipeline->run(NetworkInstance(*spec), InstanceVerifyOptions{});
+      pipeline->run(*spec, context, InstanceVerifyOptions{});
   EXPECT_FALSE(report.verdict.deadlock_free);
   EXPECT_EQ(report.verdict.method, "undecided");
   ASSERT_EQ(report.stages.size(), 1u);
@@ -423,8 +439,9 @@ TEST(VerifyPipeline, SubsetStagesStillPublishTheGraphFactsTheyComputed) {
   std::string error;
   const auto pipeline = VerifyPipeline::from_stage_names({"escape"}, &error);
   ASSERT_TRUE(pipeline.has_value()) << error;
+  AnalysisArtifacts context(*spec);
   const VerifyReport report =
-      pipeline->run(NetworkInstance(*spec), InstanceVerifyOptions{});
+      pipeline->run(*spec, context, InstanceVerifyOptions{});
   const InstanceVerdict full =
       NetworkInstance(*spec).verify(InstanceVerifyOptions{});
   EXPECT_EQ(report.verdict.edges, full.edges);
@@ -445,8 +462,8 @@ TEST(VerifyPipeline, ConstraintsOnlySubsetStaysUndecidedWhenTheyPass) {
   ASSERT_TRUE(pipeline.has_value()) << error;
   InstanceVerifyOptions options;
   options.check_constraints = true;
-  const VerifyReport report =
-      pipeline->run(NetworkInstance(*spec), options);
+  AnalysisArtifacts context(*spec);
+  const VerifyReport report = pipeline->run(*spec, context, options);
   EXPECT_TRUE(report.verdict.constraints_ok);
   EXPECT_FALSE(report.verdict.deadlock_free);
   EXPECT_EQ(report.verdict.method, "undecided");
@@ -459,8 +476,9 @@ TEST(VerifyPipeline, ConstraintsOnlySubsetStaysUndecidedWhenTheyPass) {
 TEST(VerifyPipeline, EscapeStageSkipsOnAcyclicGraphsAndExplainsWhy) {
   const InstanceSpec* spec = InstanceRegistry::global().find("mesh8-xy");
   ASSERT_NE(spec, nullptr);
+  AnalysisArtifacts context(*spec);
   const VerifyReport report = VerifyPipeline::standard().run(
-      NetworkInstance(*spec), InstanceVerifyOptions{});
+      *spec, context, InstanceVerifyOptions{});
   const auto escape_stats = std::find_if(
       report.stages.begin(), report.stages.end(),
       [](const StageStats& s) { return s.stage == "escape"; });
@@ -481,8 +499,9 @@ TEST(VerifyPipeline, TypedDiagnosticsCarryTheEvidence) {
   // record, the warning cycle, and the info escape verification.
   const InstanceSpec* cured = InstanceRegistry::global().find("torus8-xy");
   ASSERT_NE(cured, nullptr);
+  AnalysisArtifacts cured_context(*cured);
   const VerifyReport cured_report = VerifyPipeline::standard().run(
-      NetworkInstance(*cured), InstanceVerifyOptions{});
+      *cured, cured_context, InstanceVerifyOptions{});
   std::vector<std::string> codes;
   for (const Diagnostic& diagnostic : cured_report.diagnostics) {
     codes.push_back(diagnostic.code);
@@ -501,8 +520,9 @@ TEST(VerifyPipeline, TypedDiagnosticsCarryTheEvidence) {
   const auto prone = InstanceRegistry::global().resolve(
       "topology=torus size=4x4 routing=torus_xy", &error);
   ASSERT_TRUE(prone.has_value()) << error;
+  AnalysisArtifacts prone_context(*prone);
   const VerifyReport prone_report = VerifyPipeline::standard().run(
-      NetworkInstance(*prone), InstanceVerifyOptions{});
+      *prone, prone_context, InstanceVerifyOptions{});
   const auto no_lane = std::find_if(
       prone_report.diagnostics.begin(), prone_report.diagnostics.end(),
       [](const Diagnostic& d) { return d.code == "no-escape-lane"; });
@@ -514,16 +534,16 @@ TEST(VerifyPipeline, TypedDiagnosticsCarryTheEvidence) {
 TEST(VerifyPipeline, ReportCacheCountersAreTheRunsOwnDelta) {
   const InstanceSpec* spec = InstanceRegistry::global().find("torus8-xy");
   ASSERT_NE(spec, nullptr);
-  const NetworkInstance instance(*spec);
   ArtifactStore store;
   InstanceVerifyOptions options;
   options.artifacts = &store;
+  AnalysisArtifacts& context = *store.acquire(*spec);
   const VerifyReport first =
-      VerifyPipeline::standard().run(instance, options);
+      VerifyPipeline::standard().run(*spec, context, options);
   EXPECT_EQ(first.cache.dep_graph.misses, 1u);
   EXPECT_EQ(first.cache.escape.misses, 1u);
   const VerifyReport second =
-      VerifyPipeline::standard().run(instance, options);
+      VerifyPipeline::standard().run(*spec, context, options);
   // The second run over the same store recomputes nothing.
   EXPECT_EQ(second.cache.dep_graph.misses, 0u);
   EXPECT_EQ(second.cache.escape.misses, 0u);
