@@ -376,26 +376,15 @@ class UniformityRule final : public AnalysisRule {
     const std::size_t stride = stride_for(
         dests, static_cast<std::uint64_t>(nodes) * names,
         ctx.options.uniformity_budget);
-    std::vector<PortId> expected;
+    std::vector<std::uint64_t> masks(nodes);
     std::vector<PortId> actual;
     std::vector<Port> port_scratch;
     std::uint64_t violations = 0;
 
     for (std::size_t d = 0; d < dests; d += stride) {
+      routing.fill_node_masks(d, masks.data());
       for (std::size_t node = 0; node < nodes; ++node) {
-        std::uint64_t mask =
-            routing.out_mask_id(node, d) & topo.out_exists_mask(node);
-        expected.clear();
-        while (mask != 0) {
-          const std::size_t name_index =
-              static_cast<std::size_t>(std::countr_zero(mask));
-          mask &= mask - 1;
-          const PortId out = topo.slot_id(node, name_index, Direction::kOut);
-          if (out != kInvalidPort) {
-            expected.push_back(out);
-          }
-        }
-        std::sort(expected.begin(), expected.end());
+        const std::uint64_t expected = masks[node] & topo.out_exists_mask(node);
         const PortId* slots = topo.node_slots(node);
         for (std::size_t name_index = 0; name_index < names; ++name_index) {
           const PortId in =
@@ -405,9 +394,19 @@ class UniformityRule final : public AnalysisRule {
           }
           actual.clear();
           routing.next_hop_ids_into(in, d, actual, port_scratch);
-          std::sort(actual.begin(), actual.end());
           ++stats.checks;
-          if (actual == expected) {
+          // The hop set as a name mask; a repeated hop or one that is not
+          // an out-port of this node can never match the claimed mask.
+          std::uint64_t hop_names = 0;
+          bool stray = false;
+          for (const PortId hop : actual) {
+            const std::uint64_t bit = std::uint64_t{1} << topo.name_of(hop);
+            stray |= topo.node_of(hop) != node ||
+                     topo.dir_of(hop) != Direction::kOut ||
+                     (hop_names & bit) != 0;
+            hop_names |= bit;
+          }
+          if (!stray && hop_names == expected) {
             continue;
           }
           ++violations;
@@ -420,7 +419,7 @@ class UniformityRule final : public AnalysisRule {
                 {{"in_port", topo.port_label(in)},
                  {"destination", topo.port_label(topo.destination_id(d))},
                  {"node", topo.node_label(node)},
-                 {"mask_hops", std::to_string(expected.size())},
+                 {"mask_hops", std::to_string(std::popcount(expected))},
                  {"in_port_hops", std::to_string(actual.size())}}));
           }
         }

@@ -31,6 +31,7 @@
 #include "routing/cmesh_dor.hpp"
 #include "routing/odd_even.hpp"
 #include "routing/torus_xy.hpp"
+#include "routing/west_first.hpp"
 #include "sim/simulator.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -128,10 +129,31 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        const PortDepGraph dep = build_dep_graph(*routing);
                        keep(dep.graph.edge_count());
                      }});
-    // The headline of this perf pass: the per-destination fast builder
-    // against the generic oracle above. CI guards the >= 10x ratio.
+    // XY on a full mesh publishes its in-port unions, so the fast builder
+    // takes the analytic O(ports) build here. CI guards the >= 10x ratio
+    // over the generic oracle above.
     suite.push_back({"depgraph_fast_8x8",
-                     "per-destination build_dep_graph_fast on 8x8",
+                     "build_dep_graph_fast on 8x8 XY (analytic union build)",
+                     [mesh, routing] {
+                       const PortDepGraph dep = build_dep_graph_fast(*routing);
+                       keep(dep.graph.edge_count());
+                     }});
+  }
+
+  {
+    // The per-destination node sweep against the generic oracle: West-First
+    // is node-uniform but adaptive, so it publishes no in-port unions and
+    // the fast builder sweeps every destination. CI guards this ratio too.
+    auto mesh = std::make_shared<Mesh2D>(8, 8);
+    auto routing = std::make_shared<WestFirstRouting>(*mesh);
+    suite.push_back({"depgraph_generic_westfirst_8x8",
+                     "generic build_dep_graph on 8x8 West-First",
+                     [mesh, routing] {
+                       const PortDepGraph dep = build_dep_graph(*routing);
+                       keep(dep.graph.edge_count());
+                     }});
+    suite.push_back({"depgraph_fast_westfirst_8x8",
+                     "per-destination node sweep on 8x8 West-First",
                      [mesh, routing] {
                        const PortDepGraph dep = build_dep_graph_fast(*routing);
                        keep(dep.graph.edge_count());
@@ -162,9 +184,10 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
 
   {
     // The ROADMAP's scaling axis. depgraph_generic_8x8 above is the PR-1
-    // baseline (~1.2 ms/op); these trace the per-destination fast builder
-    // sequentially and destination-sharded up to 64x64, plus the linear
-    // DFS that decides (C-3) at that scale next to sequential Tarjan.
+    // baseline (~1.2 ms/op); these trace the XY builder up to 64x64 through
+    // both entry points (on a full mesh both take the analytic O(ports)
+    // build, so the pool stays idle), plus the linear DFS that decides
+    // (C-3) at that scale next to sequential Tarjan.
     auto pool = std::make_shared<BatchRunner>(threads);
     auto mesh16 = std::make_shared<Mesh2D>(16, 16);
     auto routing16 = std::make_shared<XYRouting>(*mesh16);
@@ -175,7 +198,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        keep(dep.graph.edge_count());
                      }});
     suite.push_back({"depgraph_parallel_16x16",
-                     "fast builder on 16x16, destination-sharded",
+                     "build_dep_graph_parallel on 16x16 XY (analytic)",
                      [mesh16, routing16, pool] {
                        const PortDepGraph dep =
                            build_dep_graph_parallel(*routing16, *pool);
@@ -184,7 +207,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
     auto mesh32 = std::make_shared<Mesh2D>(32, 32);
     auto routing32 = std::make_shared<XYRouting>(*mesh32);
     suite.push_back({"depgraph_parallel_32x32",
-                     "fast builder on 32x32, destination-sharded",
+                     "build_dep_graph_parallel on 32x32 XY (analytic)",
                      [mesh32, routing32, pool] {
                        const PortDepGraph dep =
                            build_dep_graph_parallel(*routing32, *pool);
@@ -193,14 +216,14 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
     auto mesh64 = std::make_shared<Mesh2D>(64, 64);
     auto routing64 = std::make_shared<XYRouting>(*mesh64);
     suite.push_back({"depgraph_fast_64x64",
-                     "per-destination build_dep_graph_fast on 64x64",
+                     "build_dep_graph_fast on 64x64 XY (analytic)",
                      [mesh64, routing64] {
                        const PortDepGraph dep =
                            build_dep_graph_fast(*routing64);
                        keep(dep.graph.edge_count());
                      }});
     suite.push_back({"depgraph_parallel_64x64",
-                     "fast builder on 64x64, destination-sharded",
+                     "build_dep_graph_parallel on 64x64 XY (analytic)",
                      [mesh64, routing64, pool] {
                        const PortDepGraph dep =
                            build_dep_graph_parallel(*routing64, *pool);
@@ -208,7 +231,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                      }});
     // Built on first use (the warm-up call), not at suite construction:
     // `--filter` would otherwise make every bench invocation pay the
-    // ~0.2 s 64x64 build only to erase the SCC entries.
+    // 64x64 build only to erase the SCC entries.
     auto dep64 = std::make_shared<std::optional<PortDepGraph>>();
     auto dep64_graph = [mesh64, routing64, dep64]() -> const Digraph& {
       if (!dep64->has_value()) {
@@ -263,6 +286,18 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
     auto torus64 = std::make_shared<Mesh2D>(64, 64, true, true);
     auto torus64_routing = std::make_shared<TorusXYRouting>(*torus64);
     auto torus64_escape = std::make_shared<XYRouting>(*torus64);
+    // Torus-XY publishes exact in-port unions, so the pooled entry point
+    // takes the analytic O(ports) build on the calling thread. CI pins its
+    // wall time at 4 threads (--max-ns), so a silent fallback to the
+    // per-destination sweep (~0.23 s) fails the guard.
+    suite.push_back({"depgraph_parallel_torus64",
+                     "build_dep_graph_parallel on the 64x64 torus, Torus-XY "
+                     "(analytic)",
+                     [torus64, torus64_routing, pool] {
+                       const PortDepGraph dep =
+                           build_dep_graph_parallel(*torus64_routing, *pool);
+                       keep(dep.graph.edge_count());
+                     }});
     suite.push_back({"escape_sequential_64x64",
                      "escape-lane analysis on the 64x64 torus, sequential",
                      [torus64, torus64_routing, torus64_escape] {

@@ -10,9 +10,13 @@
 ///     (p, d) with p R d and add an edge (p, q) for every q in R(p, d).
 ///     This works for any routing function, including the adaptive
 ///     extensions, and serves as the oracle for the fast builder.
-///  2. build_dep_graph_fast(): the *per-destination* construction
-///     (routing/sweep.hpp) — one sweep per destination over the ports its
-///     routes visit; bit-identical to 1. and what every driver uses.
+///  2. build_dep_graph_fast() / build_dep_graph_parallel(): what every
+///     caller uses, bit-identical to 1. Routings that publish exact in-port
+///     unions (XY/YX on full meshes, Torus-XY on unfaulted tori and rings)
+///     take the *analytic* O(ports) build_dep_graph_analytic(); the rest
+///     (the adaptive turn models, Odd-Even, faulted grids) take the
+///     *per-destination* sweep (routing/sweep.hpp), one sweep per
+///     destination over the ports its routes visit.
 ///  3. build_exy_dep(): the paper's *closed-form* Exy_dep for XY routing
 ///     (function next_outs, Sec. V.6), restricted to ports that exist.
 ///
@@ -85,8 +89,10 @@ PortDepGraph build_dep_graph_fast(const RoutingFunction& routing);
 /// build_dep_graph_fast/_parallel dispatch here automatically.
 PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing);
 
-/// The destination-sharded fast construction: per-destination RouteSweeper
-/// sweeps fanned over \p pool, each shard collecting its edge list locally;
+/// The pooled fast construction. Routings with in-port unions take the
+/// analytic build on the calling thread (there is no per-destination work
+/// to shard); the rest run per-destination RouteSweeper sweeps fanned over
+/// \p pool, each shard collecting its edge list locally;
 /// the shards are merged and canonicalized by Digraph::finalize() (sort +
 /// dedup), so the result is BIT-IDENTICAL to build_dep_graph_fast() and to
 /// the generic oracle. Each shard owns its RouteSweeper, so the routing

@@ -237,11 +237,13 @@ class RoutingFunction {
 
   /// The EXACT union over all destinations of the out-port names this
   /// function ever emits from in-port (node, in_name), before the
-  /// existence filter. Only position-independent closed forms qualify
-  /// (XY/YX: the paper's Sec. V.6 next_outs table); an over-approximation
-  /// would add phantom dependency edges and an under-approximation would
-  /// drop real ones — the standing fast-vs-generic bit-identity tests pin
-  /// correctness on every preset.
+  /// existence filter; 0 for an in-port no route ever enters. Closed forms
+  /// qualify: XY/YX on full meshes (the paper's Sec. V.6 next_outs table)
+  /// and Torus-XY on unfaulted tori and rings (per-axis displacement
+  /// ranges). An over-approximation would add phantom dependency edges and
+  /// an under-approximation would drop real ones — the standing
+  /// fast-vs-generic bit-identity tests pin correctness on every preset and
+  /// on every small wrapped shape.
   virtual std::uint64_t in_port_union(std::size_t node,
                                       std::size_t in_name) const;
 

@@ -32,6 +32,16 @@ class TorusXYRouting final : public RoutingFunction {
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
 
+  /// The exact over-all-dests union of out-names per in-port, computed per
+  /// axis from the range of signed displacements the in-port can hold, so
+  /// wrapped grids build their dependency graph analytically in O(ports).
+  /// Unfaulted grids only: on a faulted grid routes dead-end at the fault
+  /// and the full-grid ranges over-approximate (faulted variants take the
+  /// delta build).
+  bool has_in_port_unions() const override { return !mesh().has_faults(); }
+  std::uint64_t in_port_union(std::size_t node,
+                              std::size_t in_name) const override;
+
  private:
   /// Signed shortest displacement from \p from to \p to along a dimension
   /// of size \p extent (wrapping): result in (-extent/2, extent/2], ties

@@ -55,11 +55,12 @@ class XYRouting final : public RoutingFunction {
 
   /// The paper's Sec. V.6 next_outs table, i.e. the exact over-all-dests
   /// union of out-names per in-name — enables the O(ports) analytic
-  /// dependency-graph build. Pure full meshes only: on wrapped grids the
-  /// closed-form history claims ports (e.g. a wrap-fed W,IN at x = 0) no
-  /// route semantically visits, and on faulted meshes routes dead-end at
-  /// the fault so the full-grid table over-approximates — both stay on the
-  /// per-destination sweep (faulted variants take the delta build).
+  /// dependency-graph build. Pure full meshes only: XY on a wrapped grid
+  /// never enters its wrap-fed ports (e.g. W,IN at x = 0), which this table
+  /// would claim, and on faulted meshes routes dead-end at the fault so the
+  /// full-grid table over-approximates — both stay on the per-destination
+  /// sweep (faulted variants take the delta build). Torus-XY, the routing
+  /// of wrapped grids, has its own exact unions.
   bool has_in_port_unions() const override {
     return topology().family() == "mesh" && !mesh().has_faults();
   }

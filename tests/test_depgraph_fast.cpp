@@ -17,6 +17,8 @@
 #include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
 #include "routing/sweep.hpp"
+#include "routing/torus_xy.hpp"
+#include "topology/torus.hpp"
 
 namespace genoc {
 namespace {
@@ -91,6 +93,73 @@ TEST(DepGraphFast, LargestPresetFastMatchesParallel) {
         build_dep_graph_parallel(instance.routing(), runner);
     EXPECT_EQ(fast.graph.edges(), parallel.graph.edges());
   }
+}
+
+TEST(DepGraphFast, TorusUnionsExactOnEveryWrappedShape) {
+  // Torus-XY's per-axis displacement ranges carry every wrapped-grid edge
+  // case: extent-2 axes whose E-in/S-in ports no route enters, extents
+  // below 4 (W-in never continues East) and below 5 (E-in never continues
+  // West), and rings one node wide on the plain axis. The analytic build
+  // must equal the generic oracle edge for edge on every shape.
+  std::size_t shapes = 0;
+  for (const auto& [wrap_x, wrap_y] :
+       {std::pair{true, true}, std::pair{true, false},
+        std::pair{false, true}}) {
+    for (std::int32_t width = 1; width <= 9; ++width) {
+      for (std::int32_t height = 1; height <= 9; ++height) {
+        if ((wrap_x && width < 2) || (wrap_y && height < 2)) {
+          continue;  // a wrapped axis needs two nodes
+        }
+        SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height) +
+                     " wrap " + std::to_string(wrap_x) +
+                     std::to_string(wrap_y));
+        const Torus2D torus(width, height, wrap_x, wrap_y);
+        const TorusXYRouting routing(torus);
+        ASSERT_TRUE(routing.has_in_port_unions());
+        const PortDepGraph analytic = build_dep_graph_analytic(routing);
+        const PortDepGraph generic = build_dep_graph(routing);
+        EXPECT_EQ(analytic.graph.edges(), generic.graph.edges());
+        ++shapes;
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 208u);
+}
+
+TEST(DepGraphFast, FaultedTorusHasNoInPortUnions) {
+  // Routes dead-end at a failed link, so the full-grid ranges would
+  // over-approximate: faulted tori take the sweep (or the delta build).
+  const Mesh2D faulted(8, 8, true, true, {LinkFault{0, PortName::kEast}});
+  const TorusXYRouting routing(faulted);
+  EXPECT_FALSE(routing.has_in_port_unions());
+}
+
+TEST(DepGraphFast, NodeModeSweepMatchesGenericOnTorusPresets) {
+  // The dispatch sends unfaulted tori to the analytic build, but the node
+  // sweep still builds their faulted variants and escape closures: keep it
+  // pinned on the wrapped presets — against the oracle up to 16x16, and
+  // against the analytic build (itself pinned to the oracle at 64x64 above)
+  // on the larger ones.
+  const InstanceRegistry& registry = InstanceRegistry::global();
+  std::size_t checked = 0;
+  for (const InstanceSpec& spec : registry.presets()) {
+    if (spec.topology != "torus" && spec.topology != "ring") {
+      continue;
+    }
+    SCOPED_TRACE(spec.name);
+    const NetworkInstance instance(spec);
+    RouteSweeper sweeper(instance.routing());
+    ASSERT_TRUE(sweeper.node_mode());
+    const Digraph swept = digraph_from_sweeper(sweeper, instance.topology());
+    const PortDepGraph fast = build_dep_graph_fast(instance.routing());
+    EXPECT_EQ(swept.edges(), fast.graph.edges());
+    if (spec.width <= 16 && spec.height <= 16) {
+      const PortDepGraph generic = build_dep_graph(instance.routing());
+      EXPECT_EQ(swept.edges(), generic.graph.edges());
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 3u);  // hermes-torus, torus8-xy, torus64-xy-escape
 }
 
 TEST(DepGraphFast, PortModeSweepMatchesGenericOnEveryPreset) {

@@ -5,34 +5,43 @@ Reads the artifacts `genoc bench --json` wrote into the given directory and
 fails (exit 1) when a guarded ratio regresses:
 
   1. Always: depgraph_fast_8x8 must finish within 10% of the
-     depgraph_generic_8x8 oracle measured in the same run — i.e. the
-     per-destination builder keeps its >= 10x advantage and has not
-     re-quadraticized.
-  2. Always: depgraph_fast_cmesh must finish within 25% of the
+     depgraph_generic_8x8 oracle measured in the same run. XY on a full
+     mesh takes the analytic in-port-union build, so this pins that build's
+     >= 10x advantage.
+  2. Always: depgraph_fast_westfirst_8x8 must finish within 15% of the
+     depgraph_generic_westfirst_8x8 oracle — the per-destination node
+     sweep (West-First publishes no in-port unions) keeps a >= 6.7x
+     advantage and has not re-quadraticized. Measured 12.7-17.2x at 4
+     threads (fast <= 0.08 * generic); the bound leaves about 2x for
+     runner noise.
+  3. Always: depgraph_fast_cmesh must finish within 25% of the
      depgraph_generic_cmesh oracle — the id-native sweep (the non-grid
      dialect the 8x8 mesh guard never exercises) keeps a >= 4x advantage
      on the 8x8 c=4 concentrated mesh. The measured ratio is ~7.7x; the
      looser bound reflects the smaller gap id-native closures leave over
      a 960-port/256-destination product.
-  3. Always: campaign_delta_mesh16_single must finish within 20% of
+  4. Always: campaign_delta_mesh16_single must finish within 20% of
      campaign_rebuild_mesh16_single — the fault-campaign delta builder
      (base-graph edge filtering) keeps a >= 5x advantage over rebuilding
      every variant's dependency graph from scratch. Measured ~35x; the
      loose bound absorbs runner noise on the small 16-variant sample.
-  4. With --escape-speedup X (multicore CI only): escape_parallel_64x64
+  5. With --escape-speedup X (multicore CI only): escape_parallel_64x64
      must be at least X times faster than escape_sequential_64x64 from the
      same run — the destination-sharded escape sweep actually beats the
      sequential lane walk. Skipped by default because the ratio is
      meaningless on single-core runners, where the sharded sweep can only
      tie the sequential one.
-  5. With --max-ns NAME=NS (repeatable): the named benchmark's ns_per_op
+  6. With --max-ns NAME=NS (repeatable): the named benchmark's ns_per_op
      must not exceed the absolute ceiling — e.g.
      --max-ns verify_mesh128_xy=95000000 pins the headline "mesh128
      verifies in under 95 ms at 4 threads" (about 3x the measured ~31 ms),
-     and --max-ns escape_parallel_64x64=600000000 keeps the node-level
+     --max-ns escape_parallel_64x64=600000000 keeps the node-level
      escape walk on the 64x64 torus under 0.6 s at 4 threads (about 3x
-     the measured ~0.2 s; the per-port sweep it replaced took ~1.1 s).
-  6. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
+     the measured ~0.2 s; the per-port sweep it replaced took ~1.1 s),
+     and --max-ns depgraph_parallel_torus64=3500000 keeps the 64x64
+     Torus-XY dependency graph on the analytic build (about 3x the
+     measured ~1.1 ms; the per-destination sweep took ~0.23 s).
+  7. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
      max_rss_kb (peak process RSS when its artifact was written) must not
      exceed the ceiling — the memory gate for the mesh256-xy verify.
 
@@ -50,6 +59,12 @@ GENERIC = "depgraph_generic_8x8"
 # time. The measured ratio is ~15x (fast <= 0.07 * generic); 0.10 leaves
 # room for runner noise without letting a real regression through.
 LIMIT_FRACTION = 0.10
+
+FAST_SWEEP = "depgraph_fast_westfirst_8x8"
+GENERIC_SWEEP = "depgraph_generic_westfirst_8x8"
+# Measured 12.7-17.2x on 8x8 West-First (fast <= 0.08 * generic); 0.15
+# leaves about 2x for runner noise.
+SWEEP_LIMIT_FRACTION = 0.15
 
 FAST_CMESH = "depgraph_fast_cmesh"
 GENERIC_CMESH = "depgraph_generic_cmesh"
@@ -124,7 +139,13 @@ def check_ratio(directory: pathlib.Path, fast_name: str, generic_name: str,
 
 def check_depgraph(directory: pathlib.Path) -> bool:
     return check_ratio(directory, FAST, GENERIC, LIMIT_FRACTION,
-                       "the per-destination builder re-quadraticized")
+                       "the analytic union build lost its edge")
+
+
+def check_sweep(directory: pathlib.Path) -> bool:
+    return check_ratio(directory, FAST_SWEEP, GENERIC_SWEEP,
+                       SWEEP_LIMIT_FRACTION,
+                       "the per-destination node sweep re-quadraticized")
 
 
 def check_cmesh(directory: pathlib.Path) -> bool:
@@ -182,6 +203,7 @@ def main() -> int:
     ok = True
     if not args.skip_ratios:
         ok = check_depgraph(args.directory)
+        ok = check_sweep(args.directory) and ok
         ok = check_cmesh(args.directory) and ok
         ok = check_campaign(args.directory) and ok
         if args.escape_speedup is not None:
