@@ -19,7 +19,10 @@ namespace {
 /// verify" in O(ports) — spec-level sanity, fault-set sanity, and
 /// connectivity under the failed links. The heavier cheap() rules
 /// (dead_ports, turns, uniformity) re-derive per-variant facts the delta
-/// machinery already guarantees, so the campaign skips them.
+/// machinery already guarantees, so the campaign skips them. A variant
+/// that survives the screen is decided by monotonicity when its base rank
+/// is checked; its delta graph is built only when a cyclic base leaves the
+/// verdict to a DFS and the escape lane.
 const Analyzer& screen_analyzer() {
   static const Analyzer analyzer = [] {
     std::string error;
@@ -53,7 +56,9 @@ CampaignReport run_campaign(const InstanceSpec& base,
 
   // One store for the whole campaign: the base context (topology, routing,
   // closure, dependency graph) is built exactly once, up front and sharded
-  // over the pool; every variant's delta build reads it as a cache hit.
+  // over the pool. The first variant to verify certifies the base rank;
+  // the rest read it as a cache hit and, when it is checked, inherit their
+  // verdicts from it without building a graph of their own.
   ArtifactStore store;
   std::shared_ptr<AnalysisArtifacts> base_artifacts = store.acquire(base);
   {
@@ -63,9 +68,14 @@ CampaignReport run_campaign(const InstanceSpec& base,
 
   const Analyzer& screen = screen_analyzer();
   const VerifyPipeline& pipeline = VerifyPipeline::standard();
+  // Each chunk folds its variant contexts' counters into its own slot;
+  // the slots are summed in chunk (hence variant) order below.
+  const std::size_t grain = pool.recommended_grain(variants.size());
+  std::vector<ArtifactCacheStats> chunk_cache((variants.size() + grain - 1) /
+                                              grain);
   pool.parallel_for(
-      variants.size(), pool.recommended_grain(variants.size()),
-      [&](std::size_t begin, std::size_t end) {
+      variants.size(), grain, [&](std::size_t begin, std::size_t end) {
+        ArtifactCacheStats& cache = chunk_cache[begin / grain];
         for (std::size_t i = begin; i < end; ++i) {
           obs::TraceSpan variant_span("campaign:variant");
           Stopwatch variant_timer;
@@ -78,7 +88,10 @@ CampaignReport run_campaign(const InstanceSpec& base,
           // Variant artifacts stay LOCAL (a campaign-wide store entry per
           // variant would hold thousands of dead contexts); only the base
           // is shared, through the explicit wiring.
-          AnalysisArtifacts artifacts(vspec, base_artifacts);
+          AnalysisArtifacts artifacts = [&] {
+            obs::TraceSpan context_span("campaign:variant_context");
+            return AnalysisArtifacts(vspec, base_artifacts);
+          }();
           const AnalyzeReport screen_report =
               screen.run(vspec, artifacts, options.analyze);
           out.checks = screen_report.checks;
@@ -98,6 +111,7 @@ CampaignReport run_campaign(const InstanceSpec& base,
             // a minimal routing strands traffic at every fault, yet its
             // deadlock verdict on routed traffic stays well-posed.
             out.screened = true;
+            cache += artifacts.stats();
             out.wall_ms = variant_timer.elapsed_ms();
             continue;
           }
@@ -110,6 +124,7 @@ CampaignReport run_campaign(const InstanceSpec& base,
           out.method = verified.verdict.method;
           out.edges = verified.verdict.edges;
           out.checks += verified.verdict.checks;
+          cache += artifacts.stats();
           out.wall_ms = variant_timer.elapsed_ms();
         }
       });
@@ -130,7 +145,12 @@ CampaignReport run_campaign(const InstanceSpec& base,
     }
   }
   report.screen_code_counts.assign(code_counts.begin(), code_counts.end());
+  // The base's ledger plus every variant context's own computes, so the
+  // report counts each delta build and each inherited decision.
   report.cache = store.stats();
+  for (const ArtifactCacheStats& stats : chunk_cache) {
+    report.cache += stats;
+  }
   report.wall_ms = timer.elapsed_ms();
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();

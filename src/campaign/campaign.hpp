@@ -7,7 +7,7 @@
 /// The campaign is the paper's decision procedure applied in bulk: Theorem 1
 /// decides each variant from its routing function alone, so a sweep over
 /// every single-link failure of a mesh is thousands of cheap static
-/// decisions, not thousands of simulations. Three mechanisms keep it cheap:
+/// decisions, not thousands of simulations. Four mechanisms keep it cheap:
 ///
 ///   1. ANALYZE-FIRST: each variant runs the spec_sanity / fault_sanity /
 ///      connectivity rule subset first; a variant with an error-severity
@@ -17,10 +17,17 @@
 ///      context; its dependency graph and closure are built once, and every
 ///      variant keeps only a LOCAL artifact cache wired to that base (the
 ///      store's hit counters make the sharing assertable).
-///   3. DELTA GRAPHS: for link faults on node-uniform routings the variant
-///      dependency graph is built by build_dep_graph_delta — filtering the
-///      base graph — instead of a per-destination re-sweep; bit-identical
-///      to the full builder and an order of magnitude cheaper.
+///   3. MONOTONE DECISIONS: a link fault only deletes ports, so on a
+///      node-uniform routing every variant's dependency graph is an induced
+///      subgraph of the base's. Once the base's Kahn rank passes
+///      verify_rank_certificate, each variant inherits "acyclic" and counts
+///      its edges off the base graph (base edges minus those incident on
+///      its removed ports): no graph copy and no DFS per variant.
+///   4. DELTA GRAPHS, ON DEMAND: where a variant needs its graph itself (a
+///      cyclic base such as every torus, --constraints, DOT export), it is
+///      built by build_dep_graph_delta — filtering the base graph — instead
+///      of a per-destination re-sweep; bit-identical to the full builder and
+///      an order of magnitude cheaper.
 ///
 /// Variants shard over the existing BatchRunner pool into fixed result
 /// slots, so the report is byte-identical at any --threads value (timing
@@ -79,9 +86,10 @@ struct CampaignReport {
   /// Screen-code histogram over all screened variants, sorted by code.
   std::vector<std::pair<std::string, std::uint64_t>> screen_code_counts;
   std::vector<VariantOutcome> variants;  ///< in variant order
-  /// The campaign store's ledger: base context misses/hits and the base
-  /// dependency graph's build/reuse counters (the sharing guarantee tests
-  /// assert on).
+  /// The campaign's artifact ledger: the store's (base context, base graph,
+  /// base rank) plus every variant context's own, folded in variant order —
+  /// delta builds count as dep_graph misses, inherited verdicts under
+  /// acyclicity_inherited.
   ArtifactCacheStats cache;
   std::size_t threads = 1;  ///< timing-only (varies with --threads)
   double wall_ms = 0.0;     ///< timing-only

@@ -47,7 +47,8 @@ constexpr const char* kUsage =
     "  --json          write one BENCH_<name>.json per benchmark\n"
     "  --out-dir DIR   directory for the JSON files (default: cwd)\n"
     "  --filter STR    only run benchmarks whose name contains STR\n"
-    "  --min-ms N      minimum measured time per benchmark (default 100)\n"
+    "  --min-ms N      minimum measured time per benchmark (default 100),\n"
+    "                  split over 5 samples; ns/op is their median\n"
     "  --threads N     pool size for the *_parallel benchmarks and the\n"
     "                  verify and campaign runs\n"
     "                  (default 0 = hardware concurrency)\n"
@@ -68,41 +69,61 @@ struct MicroBench {
   std::function<void()> body;
 };
 
+/// Timed samples per benchmark: the reported ns/op is their median, so one
+/// descheduled sample cannot move a gate.
+constexpr std::size_t kSamples = 5;
+static_assert(kSamples % 2 == 1, "the median must be one sample");
+
 struct BenchResult {
   std::string name;
   std::string what;
-  std::uint64_t iterations = 0;
-  double total_ms = 0.0;
+  std::uint64_t iterations = 0;  ///< over all samples
+  double total_ms = 0.0;         ///< over all samples
+  std::vector<double> sample_ns_per_op;  ///< one entry per sample
+
+  /// The median of the per-sample ns/op (kSamples is odd).
   double ns_per_op() const {
-    return iterations == 0 ? 0.0 : total_ms * 1e6 / iterations;
+    std::vector<double> sorted = sample_ns_per_op;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted.empty() ? 0.0 : sorted[sorted.size() / 2];
   }
   double ops_per_sec() const {
-    return total_ms <= 0.0 ? 0.0 : iterations * 1e3 / total_ms;
+    const double ns = ns_per_op();
+    return ns <= 0.0 ? 0.0 : 1e9 / ns;
   }
 };
 
-/// Runs \p bench until at least \p min_ms of measured wall time has
-/// accumulated, growing the batch geometrically so the timer overhead
-/// amortizes away.
+/// Runs \p bench as kSamples timed samples of one batch size, together at
+/// least \p min_ms of measured wall time. The batch grows geometrically
+/// until one run of it takes min_ms / kSamples (or the body is so slow that
+/// calibration stops), so the timer overhead amortizes away; every sample
+/// holds at least one iteration, however slow the body.
 BenchResult run_bench(const MicroBench& bench, double min_ms) {
   bench.body();  // warm-up (first-touch allocations, caches)
-  BenchResult result{bench.name, bench.what, 0, 0.0};
+  BenchResult result{bench.name, bench.what, 0, 0.0, {}};
+  const double sample_ms = min_ms / static_cast<double>(kSamples);
   std::uint64_t batch = 1;
   Stopwatch total;
-  while (true) {
+  while (result.sample_ns_per_op.size() < kSamples) {
     Stopwatch timer;
     for (std::uint64_t i = 0; i < batch; ++i) {
       bench.body();
     }
-    result.total_ms += timer.elapsed_ms();
+    const double elapsed_ms = timer.elapsed_ms();
+    result.total_ms += elapsed_ms;
     result.iterations += batch;
-    if (result.total_ms >= min_ms) {
-      break;
+    // Calibration runs (too short to be a sample) are measured but not
+    // sampled; the safety valve ends calibration for pathologically slow
+    // bodies.
+    const bool calibrated = !result.sample_ns_per_op.empty() ||
+                            elapsed_ms >= sample_ms ||
+                            total.elapsed_ms() > 100.0 * min_ms;
+    if (calibrated) {
+      result.sample_ns_per_op.push_back(elapsed_ms * 1e6 /
+                                        static_cast<double>(batch));
+    } else {
+      batch *= 2;
     }
-    if (total.elapsed_ms() > 100.0 * min_ms) {
-      break;  // safety valve for pathologically slow bodies
-    }
-    batch *= 2;
   }
   return result;
 }
@@ -496,6 +517,7 @@ bool write_json(const BenchResult& result, const std::string& out_dir) {
       .add("iterations", result.iterations)
       .add("total_ms", result.total_ms)
       .add("ns_per_op", result.ns_per_op())
+      .add("samples", static_cast<std::uint64_t>(result.sample_ns_per_op.size()))
       .add("ops_per_sec", result.ops_per_sec())
       .add("max_rss_kb", peak_rss_kb())
       .add("unix_time", static_cast<std::int64_t>(std::time(nullptr)));
@@ -621,7 +643,7 @@ int cmd_bench(const Args& args) {
   }
 
   std::cout << "\n";
-  Table table({"Benchmark", "Iterations", "ns/op", "ops/s"});
+  Table table({"Benchmark", "Iterations", "median ns/op", "ops/s"});
   for (const BenchResult& result : results) {
     table.add_row({result.name, format_count(result.iterations),
                    format_double(result.ns_per_op(), 1),

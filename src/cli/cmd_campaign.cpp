@@ -170,9 +170,12 @@ int cmd_campaign(const Args& args) {
                 << ")\n";
     }
   }
-  std::cout << "Artifact cache: base context built "
-            << report.cache.dep_graph.misses << "x, reused "
-            << report.cache.dep_graph.hits << "x; "
+  std::cout << "Artifact cache: " << report.cache.contexts.misses
+            << " base context, " << report.cache.dep_graph.misses
+            << " dependency graphs built, "
+            << report.cache.acyclicity_inherited << " of "
+            << report.cache.acyclicity.misses
+            << " acyclicity decisions inherited from the base rank; "
             << report.wall_ms / 1000.0 << " s wall\n";
   std::cout << (report.any_deadlock()
                     ? "DEADLOCK — " + std::to_string(report.deadlocked) +

@@ -72,7 +72,12 @@ std::string cache_stats_json(const genoc::ArtifactCacheStats& stats) {
   obj.add_raw("contexts", counter_json(stats.contexts))
       .add_raw("primed", counter_json(stats.primed))
       .add_raw("dep_graph", counter_json(stats.dep_graph))
-      .add_raw("acyclicity", counter_json(stats.acyclicity))
+      .add_raw("acyclicity", JsonObject()
+                                 .add("misses", stats.acyclicity.misses)
+                                 .add("hits", stats.acyclicity.hits)
+                                 .add("inherited", stats.acyclicity_inherited)
+                                 .to_string())
+      .add_raw("rank", counter_json(stats.rank))
       .add_raw("escape", counter_json(stats.escape))
       .add_raw("constraints", counter_json(stats.constraints));
   return obj.to_string();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/tarjan.hpp"
+#include "graph/toposort.hpp"
 #include "instance/network_instance.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +28,25 @@ KindCounters kind_counters(const char* kind) {
   const std::string prefix = std::string("artifacts.") + kind;
   return KindCounters{metrics.counter(prefix + ".hits"),
                       metrics.counter(prefix + ".misses")};
+}
+
+/// Edges of \p graph that survive deleting the sorted, deduplicated
+/// vertices \p removed: every edge minus those with an endpoint in
+/// \p removed, an edge between two removed vertices subtracted once.
+/// O(|removed| · degree · log |removed|).
+std::size_t surviving_edge_count(const Digraph& graph,
+                                 const std::vector<std::uint32_t>& in_degree,
+                                 const std::vector<PortId>& removed) {
+  std::size_t incident = 0;
+  for (const PortId r : removed) {
+    incident += graph.out_degree(r) + in_degree[r];
+    for (const std::uint32_t w : graph.out(r)) {
+      if (std::binary_search(removed.begin(), removed.end(), w)) {
+        --incident;  // counted as r's out-edge and as w's in-edge
+      }
+    }
+  }
+  return graph.edge_count() - incident;
 }
 
 }  // namespace
@@ -176,12 +195,102 @@ const PortDepGraph& AnalysisArtifacts::dep_graph(bool generic_builder,
   return dep_graph_locked(generic_builder, pool);
 }
 
+std::size_t AnalysisArtifacts::dep_edge_count(bool generic_builder,
+                                              ThreadPool* pool) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!dep_.has_value() && inherits_locked(generic_builder, pool)) {
+    return *inherited_edges_;
+  }
+  return dep_graph_locked(generic_builder, pool).graph.edge_count();
+}
+
+const RankCertificate& AnalysisArtifacts::rank_certificate(ThreadPool* pool) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  static KindCounters counters = kind_counters("rank");
+  if (rank_.has_value()) {
+    ++stats_.rank.hits;
+    counters.hits.increment();
+    return *rank_;
+  }
+  const Digraph& graph = dep_graph_locked(false, pool).graph;
+  std::vector<std::int64_t> rank;
+  if (const auto order = topological_order(graph)) {
+    rank.resize(order->size());
+    for (std::size_t i = 0; i < order->size(); ++i) {
+      rank[(*order)[i]] = static_cast<std::int64_t>(i);
+    }
+  }
+  return certify_locked(graph, std::move(rank));
+}
+
+void AnalysisArtifacts::supply_rank(std::vector<std::int64_t> rank) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  GENOC_REQUIRE(!rank_.has_value(),
+                "supply_rank() after the rank certificate was computed");
+  GENOC_REQUIRE(rank.size() == topo_->port_count(),
+                "supplied rank needs one entry per port");
+  certify_locked(dep_graph_locked(false, nullptr).graph, std::move(rank));
+}
+
+const RankCertificate& AnalysisArtifacts::certify_locked(
+    const Digraph& graph, std::vector<std::int64_t> rank) {
+  static KindCounters counters = kind_counters("rank");
+  ++stats_.rank.misses;
+  counters.misses.increment();
+  obs::TraceSpan span("artifact:rank");
+  RankCertificate cert;
+  cert.rank = std::move(rank);
+  // The decider (Kahn) and the checker share no code: only a rank that
+  // passes verify_rank_certificate lets a variant inherit anything.
+  cert.checked = !cert.rank.empty() && verify_rank_certificate(graph, cert.rank);
+  if (cert.checked) {
+    cert.in_degree.assign(graph.vertex_count(), 0);
+    for (std::size_t v = 0; v < graph.vertex_count(); ++v) {
+      for (const std::uint32_t w : graph.out(v)) {
+        ++cert.in_degree[w];
+      }
+    }
+  }
+  rank_ = std::move(cert);
+  return *rank_;
+}
+
+bool AnalysisArtifacts::inherits_locked(bool generic_builder,
+                                        ThreadPool* pool) {
+  if (generic_builder || base_ == nullptr) {
+    return false;
+  }
+  if (!inheritance_decided_) {
+    inheritance_decided_ = true;
+    // Lock order variant -> base, as for the delta build.
+    const RankCertificate& cert = base_->rank_certificate(pool);
+    if (cert.checked) {
+      // The base graph is immutable once its certificate exists.
+      inherited_edges_ = surviving_edge_count(
+          base_->dep_->graph, cert.in_degree, removed_base_ports_);
+    }
+  }
+  return inherited_edges_.has_value();
+}
+
 const AcyclicityArtifact& AnalysisArtifacts::acyclicity_locked(
     bool generic_builder, ThreadPool* pool) {
   static KindCounters counters = kind_counters("acyclicity");
   if (acyclicity_.has_value()) {
     ++stats_.acyclicity.hits;
     counters.hits.increment();
+    return *acyclicity_;
+  }
+  if (inherits_locked(generic_builder, pool)) {
+    // Monotonicity: the base rank restricted to the surviving ports still
+    // increases along every variant edge, so the variant is acyclic.
+    static obs::Counter& inherited =
+        obs::MetricsRegistry::global().counter("artifacts.acyclicity.inherited");
+    ++stats_.acyclicity.misses;
+    ++stats_.acyclicity_inherited;
+    counters.misses.increment();
+    inherited.increment();
+    acyclicity_ = AcyclicityArtifact{true, std::nullopt};
     return *acyclicity_;
   }
   const PortDepGraph& dep = dep_graph_locked(generic_builder, pool);

@@ -62,7 +62,11 @@ struct ArtifactCacheStats {
   ArtifactCounter contexts;     ///< store-level: acquire() builds vs reuses
   ArtifactCounter primed;       ///< reachability-closure prime() passes
   ArtifactCounter dep_graph;    ///< dependency-graph builds
-  ArtifactCounter acyclicity;   ///< SCC / cycle-witness decisions
+  ArtifactCounter acyclicity;   ///< (C-3) decisions, DFS or inherited
+  /// The acyclicity misses a fault variant decided by inheritance from its
+  /// base's checked rank, with no graph and no DFS of its own.
+  std::uint64_t acyclicity_inherited = 0;
+  ArtifactCounter rank;         ///< base rank certificates (Kahn + check)
   ArtifactCounter escape;       ///< escape-lane analyses
   ArtifactCounter constraints;  ///< (C-1)/(C-2) discharges
 
@@ -71,6 +75,8 @@ struct ArtifactCacheStats {
     primed += other.primed;
     dep_graph += other.dep_graph;
     acyclicity += other.acyclicity;
+    acyclicity_inherited += other.acyclicity_inherited;
+    rank += other.rank;
     escape += other.escape;
     constraints += other.constraints;
     return *this;
@@ -82,6 +88,22 @@ struct ArtifactCacheStats {
 struct AcyclicityArtifact {
   bool acyclic = false;
   std::optional<CycleWitness> cycle;
+};
+
+/// The base half of the monotone decision: a Kahn rank of the context's
+/// dependency graph, checked by verify_rank_certificate, plus the per-port
+/// in-degrees a fault variant needs to count its surviving edges. A link
+/// fault only deletes ports, so a variant's graph is an induced subgraph of
+/// its base's; once the base rank is `checked`, every variant is acyclic
+/// (the same rank restricted to the survivors certifies it).
+struct RankCertificate {
+  /// verify_rank_certificate accepted `rank`: the graph is acyclic.
+  bool checked = false;
+  /// Topological positions (or a supplied rank); empty when Kahn's
+  /// algorithm met a cycle.
+  std::vector<std::int64_t> rank;
+  /// Per-port in-degree of the graph; filled only when `checked`.
+  std::vector<std::uint32_t> in_degree;
 };
 
 /// The (C-1)/(C-2) artifact.
@@ -104,8 +126,10 @@ class AnalysisArtifacts {
 
   /// Constructor for a FAULT VARIANT sharing its unfaulted base context:
   /// when \p spec has failed links, a grid topology and a
-  /// node-uniform routing, the dependency graph is built by DELTA from the
-  /// base context's graph (build_dep_graph_delta) instead of a full
+  /// node-uniform routing, the variant has DELTA STATE. Its acyclicity and
+  /// edge count are then inherited from a base whose rank is checked, and
+  /// its dependency graph, built only when a caller needs the graph itself,
+  /// comes from the base graph by build_dep_graph_delta instead of a full
   /// rebuild — the campaign hot path. \p base must be the context of this
   /// spec with failed_links cleared (same grid, same routing/escape);
   /// passing nullptr, or a spec where the delta does not apply, degrades
@@ -134,9 +158,31 @@ class AnalysisArtifacts {
   /// build over destinations.
   const PortDepGraph& dep_graph(bool generic_builder, ThreadPool* pool);
 
-  /// The (C-3) verdict with cycle witness, decided by find_cycle();
-  /// computes dep_graph on demand. \p pool only shards that graph build.
+  /// Edge count of the dependency graph. A fault variant whose base rank
+  /// is checked answers it from the base graph (base edges minus the edges
+  /// incident on its removed ports) without building its own graph; every
+  /// other context reads it off dep_graph().
+  std::size_t dep_edge_count(bool generic_builder, ThreadPool* pool);
+
+  /// The (C-3) verdict with cycle witness. A fault variant whose base rank
+  /// is checked inherits "acyclic" (monotonicity: its graph is an induced
+  /// subgraph of the base's) and runs no DFS and no graph build; every
+  /// other context decides it by find_cycle() on dep_graph(). \p pool only
+  /// shards that graph build. The generic oracle never inherits.
   const AcyclicityArtifact& acyclicity(bool generic_builder, ThreadPool* pool);
+
+  /// This context's rank certificate over its fast-built dependency graph,
+  /// computed once: Kahn's topological order (or the rank supply_rank()
+  /// installed), then verify_rank_certificate. Fault variants read it from
+  /// their base before inheriting anything.
+  const RankCertificate& rank_certificate(ThreadPool* pool);
+
+  /// Certifies an externally computed rank (a closed-form one, such as the
+  /// flows argument's) in place of the Kahn rank. It must precede the
+  /// first rank_certificate() and is checked like the Kahn rank, so a
+  /// wrong rank certifies nothing: variants then fall back to their own
+  /// delta graph and DFS. \p rank must have one entry per port.
+  void supply_rank(std::vector<std::int64_t> rank);
 
   /// The Duato escape-lane analysis. Requires escape_routing() != nullptr.
   const EscapeAnalysis& escape_analysis(ThreadPool* pool);
@@ -153,6 +199,13 @@ class AnalysisArtifacts {
   const PortDepGraph& dep_graph_locked(bool generic_builder, ThreadPool* pool);
   const AcyclicityArtifact& acyclicity_locked(bool generic_builder,
                                               ThreadPool* pool);
+  /// True when this fault variant may inherit from its base: delta state,
+  /// the fast builder, and a checked base rank. Fills inherited_edges_ on
+  /// first success and remembers a refusal.
+  bool inherits_locked(bool generic_builder, ThreadPool* pool);
+  /// Checks \p rank against \p graph and stores the resulting certificate.
+  const RankCertificate& certify_locked(const Digraph& graph,
+                                        std::vector<std::int64_t> rank);
   /// Primes the routing's (and escape lane's) lazily built reachability
   /// closure exactly once, so subsequent reachable() queries are read-only
   /// and shareable across threads. With a pool, compressed-tier rows are
@@ -169,11 +222,14 @@ class AnalysisArtifacts {
   // and the base-graph ids of the ports this variant's faults removed.
   std::shared_ptr<AnalysisArtifacts> base_;
   std::vector<PortId> removed_base_ports_;
+  bool inheritance_decided_ = false;
+  std::optional<std::size_t> inherited_edges_;  ///< set iff inheriting
 
   mutable std::mutex mutex_;
   bool primed_ = false;
   std::optional<PortDepGraph> dep_;
   std::optional<AcyclicityArtifact> acyclicity_;
+  std::optional<RankCertificate> rank_;
   std::optional<EscapeAnalysis> escape_analysis_;
   std::optional<ConstraintsArtifact> constraints_;
   ArtifactCacheStats stats_;

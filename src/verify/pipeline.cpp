@@ -28,6 +28,9 @@ ArtifactCacheStats stats_delta(const ArtifactCacheStats& later,
   delta.primed = counter_delta(later.primed, earlier.primed);
   delta.dep_graph = counter_delta(later.dep_graph, earlier.dep_graph);
   delta.acyclicity = counter_delta(later.acyclicity, earlier.acyclicity);
+  delta.acyclicity_inherited =
+      later.acyclicity_inherited - earlier.acyclicity_inherited;
+  delta.rank = counter_delta(later.rank, earlier.rank);
   delta.escape = counter_delta(later.escape, earlier.escape);
   delta.constraints = counter_delta(later.constraints, earlier.constraints);
   return delta;
@@ -39,9 +42,8 @@ ArtifactCacheStats stats_delta(const ArtifactCacheStats& later,
 /// real shape rather than zero-initialized defaults. Idempotent — in the
 /// standard pipeline this rewrites the values the earlier stages set.
 void publish_graph_facts(CheckContext& ctx, const AcyclicityArtifact* acyclicity) {
-  const PortDepGraph& dep =
-      ctx.artifacts.dep_graph(ctx.options.generic_builder, ctx.pool);
-  ctx.report.verdict.edges = dep.graph.edge_count();
+  ctx.report.verdict.edges =
+      ctx.artifacts.dep_edge_count(ctx.options.generic_builder, ctx.pool);
   if (acyclicity != nullptr) {
     ctx.report.verdict.dep_acyclic = acyclicity->acyclic;
   }
@@ -70,16 +72,17 @@ class BuildDepGraphCheck final : public Check {
   const char* description() const override {
     return "materialize the channel-dependency graph (Sec. IV.A); "
            "analytic O(ports) build where the routing publishes in-port "
-           "unions, else per-destination sweeps sharded on the pool";
+           "unions, else per-destination sweeps sharded on the pool; a "
+           "fault variant of a rank-certified acyclic base counts its "
+           "edges off the base graph instead";
   }
 
   StageStats run(CheckContext& ctx) const override {
     StageStats stats;
     stats.stage = name();
-    const PortDepGraph& dep =
-        ctx.artifacts.dep_graph(ctx.options.generic_builder, ctx.pool);
     InstanceVerdict& verdict = ctx.report.verdict;
-    verdict.edges = dep.graph.edge_count();
+    verdict.edges =
+        ctx.artifacts.dep_edge_count(ctx.options.generic_builder, ctx.pool);
     stats.checks = static_cast<std::uint64_t>(
                        ctx.artifacts.topology().port_count()) *
                        ctx.artifacts.topology().destination_count() +

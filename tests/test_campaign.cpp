@@ -196,11 +196,25 @@ std::uint64_t topology_builds() {
   return obs::MetricsRegistry::global().counter("topology.builds").value();
 }
 
+std::uint64_t delta_builds() {
+  return obs::MetricsRegistry::global()
+      .counter("artifacts.dep_graph.delta_builds")
+      .value();
+}
+
+std::uint64_t inherited_decisions() {
+  return obs::MetricsRegistry::global()
+      .counter("artifacts.acyclicity.inherited")
+      .value();
+}
+
 TEST(Campaign, SingleFaultMeshIsFullyVerifiedOffOneBaseContext) {
   CampaignOptions options;
   options.plan = plan_or_die("single");
   options.threads = 2;
   const std::uint64_t builds_before = topology_builds();
+  const std::uint64_t delta_before = delta_builds();
+  const std::uint64_t inherited_before = inherited_decisions();
   const CampaignReport report =
       run_campaign(spec_or_die("topology=mesh size=6x6 routing=xy"), options);
   // One topology for the base context and one per variant context; the
@@ -215,15 +229,48 @@ TEST(Campaign, SingleFaultMeshIsFullyVerifiedOffOneBaseContext) {
   EXPECT_EQ(report.deadlocked, 0u);
   EXPECT_FALSE(report.any_deadlock());
   // The batch-sharing guarantee: the base dependency graph is built exactly
-  // once, and every variant's delta build reads it as a cache hit.
-  EXPECT_EQ(report.cache.dep_graph.misses, 1u);
-  EXPECT_EQ(report.cache.dep_graph.hits, report.variants_total);
+  // once and its rank certified once; every verified variant inherits its
+  // verdict from that rank and builds no graph of its own. The ledger folds
+  // the variant contexts in, so it agrees with the process-wide metrics.
   EXPECT_EQ(report.cache.contexts.misses, 1u);
+  EXPECT_EQ(report.cache.dep_graph.misses, 1u);
+  EXPECT_EQ(report.cache.rank.misses, 1u);
+  EXPECT_EQ(report.cache.rank.hits, report.verified - 1);
+  EXPECT_EQ(report.cache.acyclicity.misses, report.verified);
+  EXPECT_EQ(report.cache.acyclicity_inherited, report.verified);
+  EXPECT_EQ(inherited_decisions() - inherited_before, report.verified);
+  EXPECT_EQ(delta_builds() - delta_before, 0u);
   for (const VariantOutcome& out : report.variants) {
     EXPECT_FALSE(out.screened);
     EXPECT_TRUE(out.screen_codes.empty());
     EXPECT_TRUE(out.deadlock_free) << "failed=" << out.faults;
     EXPECT_GT(out.edges, 0u);
+  }
+}
+
+TEST(Campaign, CyclicBasesNeverInheritAndDeltaBuildEveryVerifiedVariant) {
+  // Torus and ring bases have cyclic dependency graphs: Kahn's algorithm
+  // cannot rank them, so no variant inherits and each verified variant
+  // builds its delta graph for the DFS and the escape lane, as before.
+  for (const char* text :
+       {"topology=torus size=4x4 routing=torus_xy escape=xy",
+        "topology=torus size=8x8 routing=torus_xy escape=xy",
+        "topology=ring size=5x3 routing=torus_xy escape=yx"}) {
+    SCOPED_TRACE(text);
+    CampaignOptions options;
+    options.plan = plan_or_die("single");
+    options.threads = 2;
+    const std::uint64_t delta_before = delta_builds();
+    const std::uint64_t inherited_before = inherited_decisions();
+    const CampaignReport report = run_campaign(spec_or_die(text), options);
+    EXPECT_GT(report.verified, 0u);
+    EXPECT_EQ(delta_builds() - delta_before, report.verified);
+    EXPECT_EQ(inherited_decisions() - inherited_before, 0u);
+    EXPECT_EQ(report.cache.acyclicity_inherited, 0u);
+    EXPECT_EQ(report.cache.rank.misses, 1u);
+    // One base graph plus one delta graph per verified variant.
+    EXPECT_EQ(report.cache.dep_graph.misses, 1 + report.verified);
+    EXPECT_EQ(report.cache.acyclicity.misses, report.verified);
   }
 }
 

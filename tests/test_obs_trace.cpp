@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "cli/json_reader.hpp"
 #include "instance/batch_runner.hpp"
 #include "instance/registry.hpp"
@@ -176,6 +177,38 @@ TEST(ObsTrace, ParallelVerifyTraceNestsAndLeavesVerdictsBitIdentical) {
       open_ends.push_back(span.ts + span.dur);
     }
   }
+}
+
+TEST(ObsTrace, CampaignVariantContextSpanNestsUnderItsVariant) {
+  std::string error;
+  const std::optional<InstanceSpec> base =
+      parse_instance_spec("topology=mesh size=4x4 routing=xy", &error);
+  ASSERT_TRUE(base.has_value()) << error;
+  CampaignOptions options;
+  options.threads = 2;
+
+  RecorderGuard guard;
+  obs::TraceRecorder::global().start();
+  const CampaignReport report = run_campaign(*base, options);
+  obs::TraceRecorder::global().stop();
+
+  // One context span per variant, each inside the campaign:variant span
+  // that starts before it on the same thread.
+  std::size_t contexts = 0;
+  for (const auto& [tid, track] : spans_by_tid(parse_trace())) {
+    const Span* variant = nullptr;
+    for (const Span& span : track) {
+      if (span.name == "campaign:variant") {
+        variant = &span;
+      } else if (span.name == "campaign:variant_context") {
+        ++contexts;
+        ASSERT_NE(variant, nullptr) << "context span outside any variant";
+        EXPECT_GE(span.ts + 1e-3, variant->ts);
+        EXPECT_LE(span.ts + span.dur, variant->ts + variant->dur + 1e-3);
+      }
+    }
+  }
+  EXPECT_EQ(contexts, report.variants_total);
 }
 
 }  // namespace

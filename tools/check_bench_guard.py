@@ -2,7 +2,10 @@
 """Perf regression guards over the BENCH_*.json artifacts.
 
 Reads the artifacts `genoc bench --json` wrote into the given directory and
-fails (exit 1) when a guarded ratio regresses:
+fails (exit 1) when a guarded ratio regresses. Every gate reads ns_per_op,
+which `genoc bench` reports as the median of at least 5 timed samples; an
+artifact with fewer samples (or without the field) fails, so a single
+descheduled sample can neither pass nor trip a gate:
 
   1. Always: depgraph_fast_8x8 must finish within 10% of the
      depgraph_generic_8x8 oracle measured in the same run. XY on a full
@@ -81,6 +84,9 @@ CAMPAIGN_LIMIT_FRACTION = 0.20
 ESCAPE_PARALLEL = "escape_parallel_64x64"
 ESCAPE_SEQUENTIAL = "escape_sequential_64x64"
 
+# ns_per_op must be a median over at least this many timed samples.
+MIN_SAMPLES = 5
+
 
 def bench_field(directory: pathlib.Path, name: str, field: str) -> float:
     path = directory / f"BENCH_{name}.json"
@@ -94,6 +100,11 @@ def bench_field(directory: pathlib.Path, name: str, field: str) -> float:
 
 
 def ns_per_op(directory: pathlib.Path, name: str) -> float:
+    """The median ns/op of the named benchmark's timed samples."""
+    samples = bench_field(directory, name, "samples")
+    if samples < MIN_SAMPLES:
+        sys.exit(f"check_bench_guard: BENCH_{name}.json holds {samples:.0f} "
+                 f"samples; the gates need a median of >= {MIN_SAMPLES}")
     return bench_field(directory, name, "ns_per_op")
 
 
@@ -111,7 +122,8 @@ def parse_gate(spec: str, flag: str) -> tuple[str, float]:
 
 def check_absolute(directory: pathlib.Path, name: str, ceiling: float,
                    field: str, unit: str) -> bool:
-    measured = bench_field(directory, name, field)
+    measured = (ns_per_op(directory, name) if field == "ns_per_op"
+                else bench_field(directory, name, field))
     print(f"{name}: {measured:,.0f} {unit} (ceiling {ceiling:,.0f} {unit})")
     if measured > ceiling:
         print(f"FAIL: {name} exceeds the absolute {field} ceiling")

@@ -91,8 +91,8 @@ ANALYSIS_ROW = {
     "diagnostics": list,
 }
 
-CACHE_KINDS = ("contexts", "primed", "dep_graph", "acyclicity", "escape",
-               "constraints")
+CACHE_KINDS = ("contexts", "primed", "dep_graph", "acyclicity", "rank",
+               "escape", "constraints")
 
 BASELINE = {
     "file": str,
@@ -147,6 +147,8 @@ def check_cache(cache: dict, context: str) -> None:
         counter = cache[kind]
         check_fields(counter, {"misses": int, "hits": int},
                      f"{context}.cache.{kind}")
+    check_fields(cache["acyclicity"], {"inherited": int},
+                 f"{context}.cache.acyclicity")
 
 
 def check_metrics(metrics: dict, context: str) -> None:
