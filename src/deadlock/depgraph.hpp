@@ -12,9 +12,9 @@
 ///     extensions, and serves as the oracle for the fast builder.
 ///  2. build_dep_graph_fast() / build_dep_graph_parallel(): what every
 ///     caller uses, bit-identical to 1. Routings that publish exact in-port
-///     unions (XY/YX on full meshes, Torus-XY on unfaulted tori and rings)
-///     take the *analytic* O(ports) build_dep_graph_analytic(); the rest
-///     (the adaptive turn models, Odd-Even, faulted grids) take the
+///     unions (dimension order — XY, YX and Torus-XY — on every unfaulted
+///     grid) take the *analytic* O(ports) build_dep_graph_analytic(); the
+///     rest (the adaptive turn models, Odd-Even, faulted grids) take the
 ///     *per-destination* sweep (routing/sweep.hpp), one sweep per
 ///     destination over the ports its routes visit.
 ///  3. build_exy_dep(): the paper's *closed-form* Exy_dep for XY routing

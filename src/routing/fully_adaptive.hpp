@@ -10,25 +10,22 @@
 /// "deadlock-free iff acyclic" equivalence from the negative side.
 #pragma once
 
-#include "routing/adaptive.hpp"
+#include "routing/routing.hpp"
 
 namespace genoc {
 
-class FullyAdaptiveRouting final : public AdaptiveRouting {
+class FullyAdaptiveRouting final : public RoutingFunction {
  public:
-  explicit FullyAdaptiveRouting(const Mesh2D& mesh) : AdaptiveRouting(mesh) {}
+  explicit FullyAdaptiveRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {}
 
   std::string name() const override { return "Fully-Adaptive"; }
+  bool is_deterministic() const override { return false; }
 
   /// Every productive direction from every in-port: node-level by
   /// definition.
   bool node_uniform() const override { return true; }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
-
- protected:
-  void append_out_choices(const Port& current, const Port& dest,
-                          std::vector<Port>& out) const override;
 };
 
 }  // namespace genoc

@@ -9,22 +9,22 @@
 /// deadlock-free.
 #pragma once
 
-#include "routing/adaptive.hpp"
+#include "routing/routing.hpp"
 
 namespace genoc {
 
-class OddEvenRouting final : public AdaptiveRouting {
+class OddEvenRouting final : public RoutingFunction {
  public:
-  explicit OddEvenRouting(const Mesh2D& mesh) : AdaptiveRouting(mesh) {}
+  explicit OddEvenRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {}
 
   std::string name() const override { return "Odd-Even"; }
+  bool is_deterministic() const override { return false; }
 
   /// NOT node-uniform: turn legality reads the in-port name (the travel
-  /// direction), so the fast builder uses the generic port-level sweep.
-
- protected:
-  void append_out_choices(const Port& current, const Port& dest,
-                          std::vector<Port>& out) const override;
+  /// direction), so this is the one grid routing that writes its hops at
+  /// port level, and the fast builder uses the generic port-level sweep.
+  void append_next_hops(const Port& current, const Port& dest,
+                        std::vector<Port>& out) const override;
 };
 
 }  // namespace genoc

@@ -39,11 +39,24 @@ bool RoutingFunction::valid_endpoints(const Port& s, const Port& d) const {
          d.dir == Direction::kOut && m.exists(d);
 }
 
-void RoutingFunction::append_next_hops(const Port& /*current*/,
-                                       const Port& /*dest*/,
-                                       std::vector<Port>& /*out*/) const {
-  GENOC_REQUIRE(false, "append_next_hops is the grid Port-tuple API; " +
-                           name() + " is id-native — use append_next_hop_ids");
+void RoutingFunction::append_next_hops(const Port& current, const Port& dest,
+                                       std::vector<Port>& out) const {
+  GENOC_REQUIRE(grid_ != nullptr,
+                "append_next_hops is the grid Port-tuple API; " + name() +
+                    " is id-native — use append_next_hop_ids");
+  if (current.dir == Direction::kOut) {
+    if (current.name != PortName::kLocal) {
+      out.push_back(grid_->next_in(current));
+    }
+    return;  // Local OUT ports hand the message to the core
+  }
+  // One hop per selected out-name, in ascending name order (E, W, N, S,
+  // L). node_out_mask's own default refuses non-node-uniform functions.
+  for (unsigned mask = node_out_mask(current.x, current.y, dest); mask != 0;
+       mask &= mask - 1) {
+    out.push_back(trans(current, static_cast<PortName>(std::countr_zero(mask)),
+                        Direction::kOut));
+  }
 }
 
 void RoutingFunction::append_next_hop_ids(PortId /*current*/,
@@ -61,8 +74,12 @@ void RoutingFunction::next_hop_ids_into(PortId current, std::size_t dest_index,
     return;
   }
   const Mesh2D& m = mesh();
+  // The prescreen calls this millions of times per instance: read the
+  // port table inline rather than through two out-of-line port() calls.
+  const std::vector<Port>& ports = m.ports();
+  GENOC_REQUIRE(current < ports.size(), "port id out of range");
   scratch.clear();
-  append_next_hops(m.port(current), m.port(topo_->destination_id(dest_index)),
+  append_next_hops(ports[current], ports[topo_->destination_id(dest_index)],
                    scratch);
   for (const Port& hop : scratch) {
     // A routing function may only produce existing ports for reachable
@@ -386,16 +403,8 @@ void RoutingFunction::prime_closure(ThreadPool* pool) const {
   }
 }
 
-void RoutingFunction::prime() const {
-  if (needs_prime()) {
-    prime_closure(nullptr);
-  }
-}
+void RoutingFunction::prime() const { prime_closure(nullptr); }
 
-void RoutingFunction::prime(ThreadPool& pool) const {
-  if (needs_prime()) {
-    prime_closure(&pool);
-  }
-}
+void RoutingFunction::prime(ThreadPool& pool) const { prime_closure(&pool); }
 
 }  // namespace genoc

@@ -5,7 +5,12 @@
 /// destination port it computes the next hop(s). Deterministic functions
 /// (like the paper's Rxy) return at most one hop; adaptive functions (the
 /// paper's future-work Section IX, implemented here as extensions) may return
-/// several.
+/// several. Their dependency graphs are built by the same generic
+/// enumeration, and acyclicity (or the SCC-based Taktak check, Sec. VIII) is
+/// applied to the result. Every adaptive function here is minimal: each
+/// choice strictly reduces the Manhattan distance to the destination, so the
+/// positional (memoryless) formulation coincides with the history-aware
+/// turn-model definitions on all reachable states.
 ///
 /// The relation `s R d` ("destination d is reachable from port s") is the
 /// well-formedness invariant the paper calls "quite technical": it captures
@@ -158,12 +163,15 @@ class RoutingFunction {
   /// tuple formulas and go through the adapters below.
   virtual bool id_native() const { return false; }
 
-  /// The primitive grid subclasses implement: appends R(current, dest) to
-  /// \p out WITHOUT clearing it. Hot loops (the per-destination sweeps, the
+  /// The grid Port-tuple primitive: appends R(current, dest) to \p out
+  /// WITHOUT clearing it. Hot loops (the per-destination sweeps, the
   /// closure build, the escape analysis) reuse one scratch vector across
   /// calls, so the steady state allocates nothing. The appended ports
   /// follow the routing formula literally; for reachable inputs they exist
   /// in the mesh (that existence is part of what constraint (C-1) checks).
+  /// The default derives the hops of a node-uniform grid function from
+  /// node_out_mask() (see node_uniform()); a grid function that is not
+  /// node-uniform (Odd-Even) overrides it with its port-level formula.
   /// id-native functions implement append_next_hop_ids() instead.
   virtual void append_next_hops(const Port& current, const Port& dest,
                                 std::vector<Port>& out) const;
@@ -199,17 +207,22 @@ class RoutingFunction {
   /// destination — not on which in-port of the node holds the message.
   /// Every function in this library except Odd-Even (whose legal turns
   /// depend on the travel direction, i.e. the in-port name) satisfies it.
-  /// Opt-in (default false): a wrong claim would silently corrupt the fast
-  /// builder, so subclasses assert it explicitly and the test suite
-  /// cross-validates the mask against append_next_hops on every in-port.
+  /// A node-uniform grid function states its decision once, as
+  /// node_out_mask(): the default append_next_hops() derives the hops from
+  /// it — next_in(p) from a cardinal OUT port, none from a Local OUT port,
+  /// and from an IN port one trans(p, name, OUT) per set bit of the mask in
+  /// ascending name order (E, W, N, S, L). Opt-in (default false): a wrong
+  /// claim would silently corrupt the fast builder, so subclasses assert it
+  /// explicitly, and the analyzer's uniformity rule cross-validates the
+  /// mask against append_next_hops on every in-port (which catches
+  /// functions that override both).
   virtual bool node_uniform() const { return false; }
 
   /// For node-uniform grid functions only: the mask of out-port NAMES
   /// (port_name_bit) chosen from any in-port of node (x, y) toward
-  /// \p dest; the kLocal bit means delivery (x, y are dest's node).
-  /// Mirrors the IN-port case of append_next_hops in closed form so the
-  /// per-destination sweep runs one virtual call per node instead of one
-  /// per port.
+  /// \p dest; the kLocal bit means delivery (x, y are dest's node). The
+  /// IN-port hops of append_next_hops derive from it, and the
+  /// per-destination sweep runs one call per node instead of one per port.
   virtual std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                                      const Port& dest) const;
 
@@ -237,13 +250,14 @@ class RoutingFunction {
 
   /// The EXACT union over all destinations of the out-port names this
   /// function ever emits from in-port (node, in_name), before the
-  /// existence filter; 0 for an in-port no route ever enters. Closed forms
-  /// qualify: XY/YX on full meshes (the paper's Sec. V.6 next_outs table)
-  /// and Torus-XY on unfaulted tori and rings (per-axis displacement
-  /// ranges). An over-approximation would add phantom dependency edges and
-  /// an under-approximation would drop real ones — the standing
+  /// existence filter; 0 for an in-port no route ever enters. One closed
+  /// form qualifies: DimensionOrderRouting (XY, YX and Torus-XY) on every
+  /// unfaulted grid, from the span rectangle of displacements each in-port
+  /// can hold (the paper's Sec. V.6 next_outs table, generalized to
+  /// wrapped grids). An over-approximation would add phantom dependency
+  /// edges and an under-approximation would drop real ones — the standing
   /// fast-vs-generic bit-identity tests pin correctness on every preset and
-  /// on every small wrapped shape.
+  /// on every small plain and wrapped shape.
   virtual std::uint64_t in_port_union(std::size_t node,
                                       std::size_t in_name) const;
 
@@ -317,13 +331,8 @@ class RoutingFunction {
 
   /// Pool-sharded prime for batch mode: compressed-tier rows are built in
   /// parallel, destination-sharded exactly like the dep-graph/escape
-  /// sweeps. No-op for closed-form functions (needs_prime() == false) and
-  /// near-free for the node-granular tier.
+  /// sweeps. Near-free for the node-granular tier.
   void prime(ThreadPool& pool) const;
-
-  /// False for functions whose reachable() is a closed form that never
-  /// touches the closure (XY/YX): their warm-up stays free.
-  virtual bool needs_prime() const { return true; }
 
  protected:
   /// Shared guard: d must be an existing Local OUT port and s must exist.

@@ -11,43 +11,23 @@
 /// mesh XY, which analyze_escape() proves sufficient.
 #pragma once
 
-#include "routing/routing.hpp"
+#include "routing/dimension_order.hpp"
+#include "util/require.hpp"
 
 namespace genoc {
 
-class TorusXYRouting final : public RoutingFunction {
+class TorusXYRouting final : public DimensionOrderRouting {
  public:
   /// Requires the mesh to wrap in at least one dimension (otherwise this
   /// is exactly XYRouting — use that instead).
-  explicit TorusXYRouting(const Mesh2D& mesh);
+  explicit TorusXYRouting(const Mesh2D& mesh)
+      : DimensionOrderRouting(mesh, AxisOrder::kXFirst, true) {
+    GENOC_REQUIRE(mesh.wraps_x() || mesh.wraps_y(),
+                  "TorusXYRouting needs a wrapped dimension; use XYRouting "
+                  "on plain meshes");
+  }
 
   std::string name() const override { return "Torus-XY"; }
-  bool is_deterministic() const override { return true; }
-
-  void append_next_hops(const Port& current, const Port& dest,
-                        std::vector<Port>& out) const override;
-
-  /// Shortest-way dimension order decides from the node coordinates alone.
-  bool node_uniform() const override { return true; }
-  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
-                             const Port& dest) const override;
-
-  /// The exact over-all-dests union of out-names per in-port, computed per
-  /// axis from the range of signed displacements the in-port can hold, so
-  /// wrapped grids build their dependency graph analytically in O(ports).
-  /// Unfaulted grids only: on a faulted grid routes dead-end at the fault
-  /// and the full-grid ranges over-approximate (faulted variants take the
-  /// delta build).
-  bool has_in_port_unions() const override { return !mesh().has_faults(); }
-  std::uint64_t in_port_union(std::size_t node,
-                              std::size_t in_name) const override;
-
- private:
-  /// Signed shortest displacement from \p from to \p to along a dimension
-  /// of size \p extent (wrapping): result in (-extent/2, extent/2], ties
-  /// toward the positive direction.
-  static std::int32_t shortest_delta(std::int32_t from, std::int32_t to,
-                                     std::int32_t extent, bool wrap);
 };
 
 }  // namespace genoc

@@ -1,7 +1,11 @@
 /// \file xy.hpp
-/// \brief The paper's XY routing function Rxy (Section V.3) with its
-///        closed-form reachability relation.
-///
+/// \brief The paper's XY routing function Rxy (Section V.3).
+#pragma once
+
+#include "routing/dimension_order.hpp"
+
+namespace genoc {
+
 /// Packets are routed first along the x-axis to the correct column, then
 /// along the y-axis to the correct node (HERMES' deterministic minimal
 /// policy). At port level:
@@ -12,60 +16,15 @@
 ///             | trans(p, N,OUT) if y(d) < y(p)
 ///             | trans(p, S,OUT) if y(d) > y(p)
 ///             | trans(p, L,OUT) otherwise
-#pragma once
-
-#include "routing/routing.hpp"
-
-namespace genoc {
-
-class XYRouting final : public RoutingFunction {
+///
+/// On a wrapped grid XY ignores the wrap links (the escape lane of the
+/// torus presets), so it never enters a wrap-fed port such as <0,y,W,IN>.
+class XYRouting final : public DimensionOrderRouting {
  public:
-  explicit XYRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {}
+  explicit XYRouting(const Mesh2D& mesh)
+      : DimensionOrderRouting(mesh, AxisOrder::kXFirst, false) {}
 
   std::string name() const override { return "XY"; }
-  bool is_deterministic() const override { return true; }
-
-  void append_next_hops(const Port& current, const Port& dest,
-                        std::vector<Port>& out) const override;
-
-  /// XY decides from the node coordinates alone (the in-port name never
-  /// enters the formula), OUT ports forward along their link.
-  bool node_uniform() const override { return true; }
-  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
-                             const Port& dest) const override;
-
-  /// Closed-form s R d for XY routing: d is an existing Local OUT port and
-  /// s's port class is consistent with XY history (horizontal phase first,
-  /// then vertical):
-  ///   - L,IN: any destination;
-  ///   - L,OUT: only d == s (the message has arrived);
-  ///   - W,IN (travelling east):  x(d) >= x(s);
-  ///   - E,IN (travelling west):  x(d) <= x(s);
-  ///   - N,IN (travelling south): x(d) = x(s) and y(d) >= y(s);
-  ///   - S,IN (travelling north): x(d) = x(s) and y(d) <= y(s);
-  ///   - E,OUT: x(d) >= x(s)+1;   W,OUT: x(d) <= x(s)-1;
-  ///   - N,OUT: x(d) = x(s) and y(d) <= y(s)-1;
-  ///   - S,OUT: x(d) = x(s) and y(d) >= y(s)+1.
-  /// Cross-validated against closure_reachable() in the test suite.
-  bool reachable(const Port& s, const Port& d) const override;
-
-  /// reachable() is closed-form and node-granular queries are storage-free:
-  /// nothing to pre-build for parallel use.
-  bool needs_prime() const override { return false; }
-
-  /// The paper's Sec. V.6 next_outs table, i.e. the exact over-all-dests
-  /// union of out-names per in-name — enables the O(ports) analytic
-  /// dependency-graph build. Pure full meshes only: XY on a wrapped grid
-  /// never enters its wrap-fed ports (e.g. W,IN at x = 0), which this table
-  /// would claim, and on faulted meshes routes dead-end at the fault so the
-  /// full-grid table over-approximates — both stay on the per-destination
-  /// sweep (faulted variants take the delta build). Torus-XY, the routing
-  /// of wrapped grids, has its own exact unions.
-  bool has_in_port_unions() const override {
-    return topology().family() == "mesh" && !mesh().has_faults();
-  }
-  std::uint64_t in_port_union(std::size_t node,
-                              std::size_t in_name) const override;
 };
 
 }  // namespace genoc

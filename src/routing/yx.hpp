@@ -5,41 +5,16 @@
 ///        exercising the generic proof obligations.
 #pragma once
 
-#include "routing/routing.hpp"
+#include "routing/dimension_order.hpp"
 
 namespace genoc {
 
-class YXRouting final : public RoutingFunction {
+class YXRouting final : public DimensionOrderRouting {
  public:
-  explicit YXRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {}
+  explicit YXRouting(const Mesh2D& mesh)
+      : DimensionOrderRouting(mesh, AxisOrder::kYFirst, false) {}
 
   std::string name() const override { return "YX"; }
-  bool is_deterministic() const override { return true; }
-
-  void append_next_hops(const Port& current, const Port& dest,
-                        std::vector<Port>& out) const override;
-
-  /// Vertical-first mirror of XY: same node-level decision structure.
-  bool node_uniform() const override { return true; }
-  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
-                             const Port& dest) const override;
-
-  /// Closed-form s R d, the exact mirror of XYRouting::reachable (vertical
-  /// ports are unconstrained in x-history, horizontal in-ports pin y).
-  bool reachable(const Port& s, const Port& d) const override;
-
-  /// reachable() is closed-form and node-granular queries are storage-free:
-  /// nothing to pre-build for parallel use.
-  bool needs_prime() const override { return false; }
-
-  /// Mirror of XY's next_outs table (vertical phase first): the exact
-  /// over-all-dests union of out-names per in-name. Pure meshes only, for
-  /// the same wrap-port reason as XYRouting.
-  bool has_in_port_unions() const override {
-    return topology().family() == "mesh" && !mesh().has_faults();
-  }
-  std::uint64_t in_port_union(std::size_t node,
-                              std::size_t in_name) const override;
 };
 
 }  // namespace genoc

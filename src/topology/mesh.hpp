@@ -124,7 +124,7 @@ class Mesh2D : public Topology {
   bool wraps_y() const { return wrap_y_; }
 
   /// True iff the mesh was built with failed links removed. Routings with
-  /// full-grid closed forms (XY/YX reachability, the analytic in-port
+  /// full-grid closed forms (dimension-order reachability, the in-port
   /// unions) gate on this and fall back to the semantic closure/sweeps.
   bool has_faults() const { return !failed_links_.empty(); }
 

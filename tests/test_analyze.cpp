@@ -308,6 +308,21 @@ TEST(AnalyzerPositive, TorusEscapeLaneIsCoveredAndAcyclic) {
   EXPECT_TRUE(has_code(report, "escape-covered"));
 }
 
+TEST(AnalyzerPositive, WrapIgnoringDimensionOrderIsCleanOnWrappedGrids) {
+  // XY and YX ignore the wrap links, so on a torus or ring they take the
+  // long way round where the wrap is shorter: they do not claim
+  // minimality there, and the totality rule checks progress only.
+  for (const char* text : {"topology=torus size=4x4 routing=xy",
+                           "topology=torus size=4x4 routing=yx",
+                           "topology=ring size=5x1 routing=xy"}) {
+    SCOPED_TRACE(text);
+    const AnalyzeReport report = Analyzer::standard().run(spec_or_die(text));
+    EXPECT_TRUE(report.clean()) << analyze_report_json(report);
+    EXPECT_FALSE(has_code(report, "route-nonminimal"));
+    EXPECT_TRUE(has_code(report, "totality-holds"));
+  }
+}
+
 TEST(AnalyzerPositive, CheapSubsetIsCleanOnAdaptiveTurnModel) {
   const AnalyzeReport report = Analyzer::cheap().run(
       spec_or_die("topology=mesh size=6x6 routing=west_first"));

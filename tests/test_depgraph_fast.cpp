@@ -10,6 +10,8 @@
 // uniformity claim the node sweep rests on.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "deadlock/depgraph.hpp"
@@ -18,7 +20,8 @@
 #include "instance/registry.hpp"
 #include "routing/sweep.hpp"
 #include "routing/torus_xy.hpp"
-#include "topology/torus.hpp"
+#include "routing/xy.hpp"
+#include "routing/yx.hpp"
 
 namespace genoc {
 namespace {
@@ -96,42 +99,75 @@ TEST(DepGraphFast, LargestPresetFastMatchesParallel) {
 }
 
 TEST(DepGraphFast, TorusUnionsExactOnEveryWrappedShape) {
-  // Torus-XY's per-axis displacement ranges carry every wrapped-grid edge
-  // case: extent-2 axes whose E-in/S-in ports no route enters, extents
-  // below 4 (W-in never continues East) and below 5 (E-in never continues
-  // West), and rings one node wide on the plain axis. The analytic build
-  // must equal the generic oracle edge for edge on every shape.
+  // Dimension order's per-axis displacement spans carry every grid edge
+  // case: extent-2 axes whose E-in/S-in ports no Torus-XY route enters,
+  // extents below 4 (W-in never continues East) and below 5 (E-in never
+  // continues West), rings one node wide on the plain axis, and the
+  // wrap-fed ports that XY and YX, which ignore the wrap links, never
+  // enter. On every plain, wrapped and ring shape the analytic build must
+  // equal the generic oracle edge for edge, and the closed-form reachable()
+  // must equal the semantic closure on every (port, destination) pair.
+  using Make = std::unique_ptr<RoutingFunction> (*)(const Mesh2D&);
+  const std::pair<Make, bool> routings[] = {
+      {[](const Mesh2D& m) -> std::unique_ptr<RoutingFunction> {
+         return std::make_unique<XYRouting>(m);
+       },
+       false},
+      {[](const Mesh2D& m) -> std::unique_ptr<RoutingFunction> {
+         return std::make_unique<YXRouting>(m);
+       },
+       false},
+      {[](const Mesh2D& m) -> std::unique_ptr<RoutingFunction> {
+         return std::make_unique<TorusXYRouting>(m);
+       },
+       true},
+  };
   std::size_t shapes = 0;
-  for (const auto& [wrap_x, wrap_y] :
-       {std::pair{true, true}, std::pair{true, false},
-        std::pair{false, true}}) {
-    for (std::int32_t width = 1; width <= 9; ++width) {
-      for (std::int32_t height = 1; height <= 9; ++height) {
-        if ((wrap_x && width < 2) || (wrap_y && height < 2)) {
-          continue;  // a wrapped axis needs two nodes
+  for (const auto& [make, needs_wrap] : routings) {
+    for (const auto& [wrap_x, wrap_y] :
+         {std::pair{false, false}, std::pair{true, true},
+          std::pair{true, false}, std::pair{false, true}}) {
+      if (needs_wrap && !wrap_x && !wrap_y) {
+        continue;  // Torus-XY requires a wrapped axis
+      }
+      for (std::int32_t width = 1; width <= 9; ++width) {
+        for (std::int32_t height = 1; height <= 9; ++height) {
+          if (width * height < 2 || (wrap_x && width < 2) ||
+              (wrap_y && height < 2)) {
+            continue;  // a grid, and a wrapped axis, needs two nodes
+          }
+          const Mesh2D grid(width, height, wrap_x, wrap_y);
+          const auto routing = make(grid);
+          SCOPED_TRACE(routing->name() + " " + std::to_string(width) + "x" +
+                       std::to_string(height) + " wrap " +
+                       std::to_string(wrap_x) + std::to_string(wrap_y));
+          ASSERT_TRUE(routing->has_in_port_unions());
+          const PortDepGraph analytic = build_dep_graph_analytic(*routing);
+          const PortDepGraph generic = build_dep_graph(*routing);
+          EXPECT_EQ(analytic.graph.edges(), generic.graph.edges());
+          std::size_t mismatches = 0;
+          for (const Port& p : grid.ports()) {
+            for (const Port& d : grid.destinations()) {
+              mismatches += routing->reachable(p, d) !=
+                            routing->closure_reachable(p, d);
+            }
+          }
+          EXPECT_EQ(mismatches, 0u);
+          ++shapes;
         }
-        SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height) +
-                     " wrap " + std::to_string(wrap_x) +
-                     std::to_string(wrap_y));
-        const Torus2D torus(width, height, wrap_x, wrap_y);
-        const TorusXYRouting routing(torus);
-        ASSERT_TRUE(routing.has_in_port_unions());
-        const PortDepGraph analytic = build_dep_graph_analytic(routing);
-        const PortDepGraph generic = build_dep_graph(routing);
-        EXPECT_EQ(analytic.graph.edges(), generic.graph.edges());
-        ++shapes;
       }
     }
   }
-  EXPECT_EQ(shapes, 208u);
+  EXPECT_EQ(shapes, 80u + 80u + 208u + 208u + 208u);
 }
 
 TEST(DepGraphFast, FaultedTorusHasNoInPortUnions) {
   // Routes dead-end at a failed link, so the full-grid ranges would
-  // over-approximate: faulted tori take the sweep (or the delta build).
+  // over-approximate: faulted grids take the sweep (or the delta build).
   const Mesh2D faulted(8, 8, true, true, {LinkFault{0, PortName::kEast}});
-  const TorusXYRouting routing(faulted);
-  EXPECT_FALSE(routing.has_in_port_unions());
+  EXPECT_FALSE(TorusXYRouting(faulted).has_in_port_unions());
+  EXPECT_FALSE(XYRouting(faulted).has_in_port_unions());
+  EXPECT_FALSE(YXRouting(faulted).has_in_port_unions());
 }
 
 TEST(DepGraphFast, NodeModeSweepMatchesGenericOnTorusPresets) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "routing/route.hpp"
+#include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
+#include "routing/yx.hpp"
 
 namespace genoc {
 namespace {
@@ -98,6 +100,21 @@ TEST(XYRouting, IsDeterministicEverywhereReachable) {
   }
   EXPECT_TRUE(xy.is_deterministic());
   EXPECT_TRUE(xy.is_minimal());
+}
+
+TEST(XYRouting, MinimalOnlyWhereItFollowsEveryWrap) {
+  // XY and YX ignore wrap links: minimal on a plain mesh, not on a torus
+  // or ring, where the wrap is sometimes the shorter way. Torus-XY takes
+  // the shorter way on every wrapped axis.
+  const Mesh2D mesh(4, 4);
+  const Mesh2D torus(4, 4, true, true);
+  const Mesh2D ring(5, 1, true, false);
+  EXPECT_TRUE(YXRouting(mesh).is_minimal());
+  EXPECT_FALSE(XYRouting(torus).is_minimal());
+  EXPECT_FALSE(YXRouting(torus).is_minimal());
+  EXPECT_FALSE(XYRouting(ring).is_minimal());
+  EXPECT_TRUE(TorusXYRouting(torus).is_minimal());
+  EXPECT_TRUE(TorusXYRouting(ring).is_minimal());
 }
 
 TEST(XYRouting, ReachabilityClosedFormCases) {
